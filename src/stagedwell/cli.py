@@ -206,10 +206,13 @@ def cmd_simulate(args) -> int:
 def cmd_env_sweep(args) -> int:
     config = _load_config(args)
     conditions = config.conditions()
+    # a random scenario's schedule.length bounds every sampled sequence
+    length = config.schedule_spec.length if config.is_random() else None
     points = simplex_sweep(
         conditions, args.grid_step, config.initial, config.target_set(),
         n_sequences=args.samples, seed=args.seed, start=config.start,
         tail_tol=config.tail_tol, max_horizon=config.max_horizon,
+        sample_length=length,
     )
     for pt in points:
         if pt.error is not None:

@@ -9,6 +9,13 @@ per-sequence variances) and a between-sequence part (variance of the
 per-sequence means). By the law of total variance the two parts sum to the
 total, and with the plug-in estimators used here the identity holds exactly
 up to roundoff for any finite sample of sequences.
+
+two_level_stats advances all sequences of a call together as one stacked
+moment recurrence, and each sequence draws its condition indices lazily, in
+chunks, only as far as its own truncation rule follows it. The seeding
+contract is unchanged: sequence i is the one sample_schedule draws from
+np.random.default_rng((*seed, i)), since chunked draws from a generator give
+the indices of one bulk draw.
 """
 
 from __future__ import annotations
@@ -23,14 +30,22 @@ from .chain import (
     DEFAULT_MAX_HORIZON,
     DEFAULT_TAIL_TOL,
     Schedule,
+    _check_truncation,
+    absorption_vector,
+    validate_distribution,
     validate_matrix,
 )
 from .errors import InvalidDistributionError, NonAbsorbingError, StagedwellError
-from .occupancy import TargetSet, occupancy_moments
+from .occupancy import TargetSet, _binomial_shift
 
 # Mixing probabilities are dimensionless model inputs, not printed data, so
 # they are held to a much tighter sum tolerance than matrix columns.
 PROBABILITY_SUM_TOL = 1e-12
+
+# Condition indices a sequence draws the first time it needs any. Each later
+# draw doubles its drawn prefix, so a sequence draws at most about twice as
+# many indices as the steps it is followed for.
+FIRST_DRAW = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +127,50 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
+def _sequence_moments(spec, v, r, n_sequences, base, start, tail_tol, max_horizon, length):
+    """First and second raw occupancy moments of every sampled sequence.
+
+    Runs the order-2 step of occupancy_moments, A = M + (L @ M) * r, then
+    acc += A b and M <- A U', on stacked arrays whose row s belongs to
+    sequence live[s]. A sequence leaves the live rows once its own stopping
+    rule is met. It draws condition indices from default_rng((*base, i)) in
+    chunks, never past `length`, and holds the last one beyond it.
+    """
+    U_t = np.stack(spec.matrices).transpose(0, 2, 1)
+    b = np.stack([absorption_vector(m) for m in spec.matrices])
+    shift = _binomial_shift(2)
+    rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
+    moments = np.empty((n_sequences, 3))
+    live = np.arange(n_sequences)
+    M = np.zeros((n_sequences, 3, spec.d))
+    M[:, 0] = v
+    acc = np.zeros((n_sequences, 3))
+    drawn = np.empty((n_sequences, 0), dtype=np.intp)
+    mass = M[:, 0].sum(axis=1)
+    t = 0
+    while True:
+        weight = float(t + 1) ** 2
+        if mass.min() * weight < tail_tol:
+            going = mass * weight >= tail_tol
+            moments[live[~going]] = acc[~going]
+            live, M, acc, drawn, mass = live[going], M[going], acc[going], drawn[going], mass[going]
+            if live.size == 0:
+                return moments[:, 1], moments[:, 2]
+        if t >= max_horizon:
+            raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
+        n = min(start + t, length - 1)
+        if n >= drawn.shape[1]:
+            size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
+            chunk = [rngs[i].choice(spec.n_conditions, size=size, p=spec.probabilities) for i in live]
+            drawn = np.concatenate([drawn, np.array(chunk, dtype=np.intp)], axis=1)
+        k = drawn[:, n]
+        A = M + (shift @ M) * r
+        acc += (A @ b[k][:, :, None])[:, :, 0]
+        M = A @ U_t[k]
+        mass = M[:, 0].sum(axis=1)
+        t += 1
+
+
 def two_level_stats(
     spec: RandomEnvironmentSpec,
     initial,
@@ -125,10 +184,14 @@ def two_level_stats(
 ) -> TwoLevelStats:
     """Sample environment sequences; combine their exact occupancy statistics.
 
-    Sequence i uses generator np.random.default_rng((*seed, i)). Sampled
-    sequences are max_horizon long (overridable via sample_length) so the
-    hold-last extension is never reached before truncation. The plug-in
-    (divide by n) variance estimators make
+    Sequence i is the schedule sample_schedule(spec, sample_length,
+    np.random.default_rng((*seed, i))) draws, sample_length defaulting to
+    max_horizon, with the moments occupancy_moments(order=2) gives it. The
+    sequences advance together, each stopping under its own truncation rule
+    and drawing condition indices only as far as that, which leaves the
+    indices, and so the results, those of drawing every sequence in full.
+    NonAbsorbingError names the lowest sequence still alive after
+    max_horizon steps. The plug-in (divide by n) variance estimators make
 
         total_variance == mean_within_variance + between_variance
 
@@ -137,24 +200,21 @@ def two_level_stats(
     n_sequences = int(n_sequences)
     if n_sequences < 2:
         raise ValueError(f"need at least 2 sequences, got {n_sequences}")
-    length = int(max_horizon) if sample_length is None else int(sample_length)
-    base = _seed_entropy(seed)
-    means = np.empty(n_sequences)
-    variances = np.empty(n_sequences)
-    for i in range(n_sequences):
-        rng = np.random.default_rng((*base, i))
-        sched = sample_schedule(spec, length, rng)
-        try:
-            m1, m2 = occupancy_moments(
-                sched, initial, target, start=start, order=2,
-                tail_tol=tail_tol, max_horizon=max_horizon,
-            )
-        except NonAbsorbingError as exc:
-            raise NonAbsorbingError(
-                exc.surviving_mass, exc.horizon, context=f"sequence {i}"
-            ) from exc
-        means[i] = m1
-        variances[i] = max(m2 - m1 * m1, 0.0)
+    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
+    length = max_horizon if sample_length is None else int(sample_length)
+    if length < 1:
+        raise ValueError(f"sequence length must be at least 1, got {length}")
+    start = int(start)
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
+    v = validate_distribution(initial, spec.d)
+    if target.d != spec.d:
+        raise ValueError(f"target set is over {target.d} stages, conditions over {spec.d}")
+    means, second = _sequence_moments(
+        spec, v, target.mask, n_sequences, _seed_entropy(seed), start,
+        tail_tol, max_horizon, length,
+    )
+    variances = np.maximum(second - means * means, 0.0)
     mean_of_means = float(means.mean())
     mean_within = float(variances.mean())
     between = max(float((means * means).mean()) - mean_of_means**2, 0.0)

@@ -211,6 +211,37 @@ class TestEnvSweep:
         assert lines[3].startswith("0.0,0.0,1.0,")
         assert "warning" not in err
 
+    def test_honours_scenario_sequence_length(self, capsys, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "states": ["out", "in"],
+            "matrices": {
+                "A": [[0.2, 0.0], [0.6, 0.9]],
+                "B": [[0.1, 0.0], [0.4, 0.5]],
+                "C": [[0.0, 0.0], [0.3, 0.2]],
+            },
+            "schedule": {"kind": "random",
+                         "probabilities": {"A": 0.4, "B": 0.3, "C": 0.3},
+                         "length": 1},
+            "initial": [1.0, 0.0],
+            "target_set": ["in"],
+        }))
+        out_path = tmp_path / "cli.csv"
+        code, _, err = run(capsys, ["env-sweep", "--scenario", str(path), "--grid-step", "0.5",
+                                    "--samples", "6", "--seed", "3", "--out", str(out_path)])
+        assert code == 0, err
+        config = sw.load_scenario(path)
+        exports = {}
+        for length in (1, None):
+            points = sw.simplex_sweep(config.conditions(), 0.5, config.initial,
+                                      config.target_set(), n_sequences=6, seed=3,
+                                      sample_length=length)
+            exports[length] = tmp_path / f"lib_{length}.csv"
+            sw.export_results(points, "csv", exports[length])
+        assert out_path.read_text() == exports[1].read_text()
+        # one-step sequences hold their first condition, which shows in the table
+        assert out_path.read_text() != exports[None].read_text()
+
     def test_needs_three_matrices(self, capsys, geometric_path):
         code, _, err = run(capsys, ["env-sweep", "--scenario", geometric_path,
                                     "--grid-step", "1.0", "--samples", "5"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stagedwell as sw
-from helpers import random_distribution, random_substochastic
+from helpers import random_distribution, random_substochastic, random_target
 
 
 def two_condition_spec(rng, d=3, p=0.4):
@@ -120,6 +120,15 @@ class TestTwoLevelStats:
             sw.two_level_stats(spec, random_distribution(rng, 3),
                                sw.TargetSet.none(3), n_sequences=1)
 
+    @pytest.mark.parametrize("kwargs", [{"start": -1}, {"sample_length": 0},
+                                        {"target": sw.TargetSet.none(2)}])
+    def test_rejects_bad_arguments(self, kwargs):
+        rng = np.random.default_rng(1)
+        spec = two_condition_spec(rng)
+        kwargs = {"target": sw.TargetSet.none(3), **kwargs}
+        with pytest.raises(ValueError):
+            sw.two_level_stats(spec, random_distribution(rng, 3), n_sequences=3, **kwargs)
+
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(14)
         spec = two_condition_spec(rng)
@@ -128,6 +137,57 @@ class TestTwoLevelStats:
         a = sw.two_level_stats(spec, v, target, n_sequences=8, seed=77, sample_length=150)
         b = sw.two_level_stats(spec, v, target, n_sequences=8, seed=77, sample_length=150)
         assert a == b
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 12), st.integers(1, 6), st.integers(2, 6))
+    def test_matches_per_sequence_reference(self, seed, d, n_cond, start, length, n_sequences):
+        # the seeding contract: sequence i is sample_schedule(spec, length,
+        # default_rng((*seed, i))), its moments those of occupancy_moments.
+        # Column sums >= 0.2 keep every life past 6 steps at tail_tol 1e-12,
+        # so each sequence reaches its hold-last extension.
+        rng = np.random.default_rng(seed)
+        mats = tuple(random_substochastic(rng, d) for _ in range(n_cond))
+        probs = rng.dirichlet(np.ones(n_cond))
+        spec = sw.RandomEnvironmentSpec(
+            tuple(f"c{i}" for i in range(n_cond)), mats, probs / probs.sum())
+        v = random_distribution(rng, d)
+        target = random_target(rng, d)
+        entropy = (seed, 5)
+        stats = sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=entropy,
+                                   start=start, sample_length=length)
+        means = np.empty(n_sequences)
+        variances = np.empty(n_sequences)
+        for i in range(n_sequences):
+            sched = sw.sample_schedule(spec, length, np.random.default_rng((*entropy, i)))
+            m1, m2 = sw.occupancy_moments(sched, v, target, start=start, order=2)
+            means[i] = m1
+            variances[i] = max(m2 - m1 * m1, 0.0)
+        mean = means.mean()
+        expected = {
+            "mean_of_means": mean,
+            "mean_within_variance": variances.mean(),
+            "between_variance": max((means * means).mean() - mean**2, 0.0),
+            "total_variance": max((variances + means * means).mean() - mean**2, 0.0),
+        }
+        for field, value in expected.items():
+            assert getattr(stats, field) == pytest.approx(value, rel=1e-12, abs=1e-15), field
+
+    def test_non_absorbing_error_names_lowest_failing_sequence(self):
+        # each sequence holds its first draw: the identity never absorbs,
+        # the zero matrix kills everyone in one step
+        spec = sw.RandomEnvironmentSpec(("id", "kill"), (np.eye(2), np.zeros((2, 2))),
+                                        np.array([0.5, 0.5]))
+        seed = 4
+        firsts = [int(np.random.default_rng((seed, i)).choice(2, size=1, p=spec.probabilities)[0])
+                  for i in range(6)]
+        expected = firsts.index(0)
+        assert expected > 0
+        with pytest.raises(sw.NonAbsorbingError) as info:
+            sw.two_level_stats(spec, [1.0, 0.0], sw.TargetSet.none(2), n_sequences=6,
+                               seed=seed, sample_length=1, max_horizon=50)
+        assert info.value.context == f"sequence {expected}"
+        assert info.value.horizon == 50
 
     def test_non_absorbing_sequence_reports_index(self):
         spec = sw.RandomEnvironmentSpec(("id",), (np.eye(2),), np.array([1.0]))
