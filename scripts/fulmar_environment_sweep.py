@@ -1,10 +1,12 @@
 """Sweep mixtures of the three fulmar condition matrices over the probability
 simplex and tabulate two-level occupancy statistics.
 
-At each grid point (p_f, p_o, p_u) the environment draws one of the condition
-matrices independently each year. The script samples environment sequences,
-computes the exact breeding-time statistics along each, and reports the
-variance decomposition into within-sequence and between-sequence parts.
+At each grid point (p_U_f, p_U_o, p_U_u), named like the CSV columns after
+the condition matrices U_f, U_o and U_u, the environment draws one of the
+condition matrices independently each year. The script samples environment
+sequences, computes the exact breeding-time statistics along each, and
+reports the variance decomposition into within-sequence and between-sequence
+parts.
 
 The defaults keep the run short; the full-resolution table is
     python3 scripts/fulmar_environment_sweep.py --grid-step 0.05 --samples 2000

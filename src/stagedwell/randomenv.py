@@ -20,7 +20,7 @@ the indices of one bulk draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import math
 
@@ -234,12 +234,14 @@ def two_level_stats(
 class SweepPoint:
     """One grid point of a probability-simplex sweep.
 
+    `probabilities[i]` is the probability of the condition named `labels[i]`.
     `stats` is None when the point failed; `error` then holds the diagnostic.
     """
 
     probabilities: tuple[float, float, float]
     stats: TwoLevelStats | None
     error: str | None = None
+    labels: tuple[str, str, str] = field(kw_only=True)
 
 
 def simplex_sweep(
@@ -291,7 +293,8 @@ def simplex_sweep(
                     sample_length=sample_length,
                 )
             except StagedwellError as exc:
-                points.append(SweepPoint(triple, None, error=f"{type(exc).__name__}: {exc}"))
+                points.append(SweepPoint(triple, None, error=f"{type(exc).__name__}: {exc}",
+                                         labels=labels))
             else:
-                points.append(SweepPoint(triple, stats))
+                points.append(SweepPoint(triple, stats, labels=labels))
     return points

@@ -386,7 +386,7 @@ def _result_table(result, metadata) -> tuple[str, list]:
             ("std_error", result.std_error),
         ]
     elif isinstance(result, list) and result and isinstance(result[0], SweepPoint):
-        header = "p_f,p_o,p_u,mean,cv,within_var,between_var"
+        header = ",".join(f"p_{lab}" for lab in result[0].labels) + ",mean,cv,within_var,between_var"
         rows = []
         for pt in result:
             if pt.stats is None:
@@ -439,9 +439,7 @@ def _result_json(result, metadata) -> dict:
         grid = []
         for pt in result:
             entry: dict = {
-                "p_f": _round12(pt.probabilities[0]),
-                "p_o": _round12(pt.probabilities[1]),
-                "p_u": _round12(pt.probabilities[2]),
+                f"p_{lab}": _round12(p) for lab, p in zip(pt.labels, pt.probabilities)
             }
             if pt.stats is None:
                 entry["error"] = pt.error

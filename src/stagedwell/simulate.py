@@ -2,9 +2,16 @@
 
 This module is an independent cross-check on the analytic recurrences: it
 never touches the occupancy tables, only simulates individuals one step at a
-time with inversion sampling. Trajectory i of a run draws from its own
-generator seeded with (seed, first_index + i), so results are reproducible
-and independent of how a run is split into batches.
+time with inversion sampling. Lives are simulated a block at a time: every
+live trajectory of a block advances together, one schedule step at a time.
+
+Seeding contract: trajectory g of a run is row g % BLOCK of block g // BLOCK.
+Block b draws from np.random.default_rng((seed, b)): one random(BLOCK) for
+the initial stages, then one random(BLOCK) per step while any requested row
+lives, row r using entry r of each draw. A trajectory's outcome therefore
+depends only on (seed, g), whichever rows of its block are simulated with
+it, so a run split into [0, k) and [k, n) at any k merges to exactly the
+single-run result.
 """
 
 from __future__ import annotations
@@ -21,9 +28,13 @@ from .chain import DiscreteDistribution, Schedule, validate_distribution
 from .errors import NonTerminatingError
 from .occupancy import TargetSet
 
-# Hard per-trajectory cap; hitting it means the schedule effectively never
-# kills, which no amount of further sampling will fix.
+# Hard cap on the steps a block is followed; hitting it means the schedule
+# effectively never kills, which no amount of further sampling will fix.
 STEP_CAP = 10**7
+
+# Trajectories per generator stream; part of the seeding contract. It divides
+# the decimal sample counts in use (2000, 10**5, 10**6) into whole blocks.
+BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -36,56 +47,65 @@ class TrajectoryOutcome:
     path: tuple[int, ...] | None = None
 
 
-def _cumulative_columns(schedule: Schedule) -> tuple:
-    """Per matrix, per stage: cumulative outgoing probabilities.
+def _prepare(schedule: Schedule, initial, target: TargetSet):
+    """Validated inputs of the block kernel: (thresholds, inc, vcum).
 
-    A uniform draw u selects the first stage k with u < cum[k]; falling past
-    the last entry is absorption (the column's deficit from 1).
+    thresholds[k, j, i] is the probability that matrix k moves stage j to a
+    stage <= i, and +inf at i = d. A uniform u selects the first stage i
+    with u < thresholds[k, j, i], which is d, absorption, when u falls in
+    the column's deficit from 1. Row j = d (zeros, then +inf) keeps a dead
+    row in stage d.
+    inc[j] adds one lifetime step (bit 32 up) and the target indicator
+    (low bits) to a row's packed counter, so one gather-add per step
+    advances both counts; inc[d] is 0. vcum is the cumulative initial
+    distribution.
     """
-    return tuple(
-        tuple(tuple(np.cumsum(m[:, j])) for j in range(m.shape[1]))
-        for m in schedule.matrices
-    )
+    v = validate_distribution(initial, schedule.d)
+    d = schedule.d
+    if target.d != d:
+        raise ValueError(f"target set is over {target.d} stages, schedule over {d}")
+    thresholds = np.full((len(schedule.matrices), d + 1, d + 1), np.inf)
+    thresholds[:, :d, :d] = np.cumsum(np.stack(schedule.matrices), axis=1).transpose(0, 2, 1)
+    thresholds[:, d, :d] = 0.0
+    inc = np.zeros(d + 1, dtype=np.int64)
+    inc[:d] = [(1 << 32) + (j in target.members) for j in range(d)]
+    return thresholds, inc, np.cumsum(v)
 
 
-def _pick(cum, u: float) -> int:
-    for k, edge in enumerate(cum):
-        if u < edge:
-            return k
-    return len(cum)
+def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, step_cap, path=None):
+    """Simulate the lives `rows` (ascending, each < width) of one block.
 
-
-def _run_one(schedule, cums, vcum, in_target, start, rng, step_cap, record_path):
-    d = len(in_target)
-    state = _pick(vcum, rng.random())
-    if state >= d:
-        state = d - 1
-    path = [] if record_path else None
-    occupancy = 0
-    steps = 0
-    index_at = schedule.index_at
-    random = rng.random
+    Draws one rng.random(width) for the initial stages and one per step
+    while any of `rows` lives; row r uses entry r of each draw. Returns
+    (lifetime, occupancy), integer arrays aligned with `rows`. Dead rows
+    sit in stage d until at least half the working rows are dead, then
+    are compacted away. If `path` is a list, it receives the working
+    rows' stages at each step, which for a width-1 block is the path.
+    """
+    d = vcum.size
+    state = np.minimum(np.searchsorted(vcum, rng.random(width)[rows], side="right"), d - 1)
+    packed = np.empty(rows.size, dtype=np.int64)
+    pos = np.arange(rows.size)
+    acc = np.zeros(rows.size, dtype=np.int64)
+    step = 0
     while True:
-        if steps >= step_cap:
+        if step >= step_cap:
             raise NonTerminatingError(step_cap)
         if path is not None:
             path.append(state)
-        if in_target[state]:
-            occupancy += 1
-        u = random()
-        nxt = d
-        for k, edge in enumerate(cums[index_at(start + steps)][state]):
-            if u < edge:
-                nxt = k
-                break
-        steps += 1
-        if nxt >= d:
-            return TrajectoryOutcome(
-                lifetime=steps,
-                occupancy=occupancy,
-                path=tuple(path) if path is not None else None,
-            )
-        state = nxt
+        u = rng.random(width)[rows]
+        acc += inc[state]
+        edges = thresholds[schedule.index_at(start + step)].take(state, axis=0)
+        state = (u[:, None] >= edges).argmin(axis=1)  # first i with u < edge
+        step += 1
+        live = state < d
+        n = np.count_nonzero(live)
+        if 2 * n <= state.size:
+            dead = ~live
+            packed[pos[dead]] = acc[dead]
+            if n == 0:
+                return packed >> 32, packed & 0xFFFFFFFF
+            pos, rows, acc, state = pos[live], rows[live], acc[live], state[live]
 
 
 def simulate_trajectory(
@@ -99,17 +119,22 @@ def simulate_trajectory(
 ) -> TrajectoryOutcome:
     """Simulate one individual from time `start` until absorption.
 
-    Consumes exactly one uniform for the initial stage and one per step
-    lived. Occupancy counts the steps whose pre-transition stage lies in the
-    target set, matching the analytic convention.
+    Runs the block kernel on a block of width 1, so it consumes exactly one
+    uniform for the initial stage and one per step lived. Occupancy counts
+    the steps whose pre-transition stage lies in the target set, matching
+    the analytic convention.
     """
-    v = validate_distribution(initial, schedule.d)
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
-    cums = _cumulative_columns(schedule)
-    vcum = tuple(np.cumsum(v))
-    in_target = tuple(j in target.members for j in range(schedule.d))
-    return _run_one(schedule, cums, vcum, in_target, int(start), rng, int(step_cap), record_path)
+    thresholds, inc, vcum = _prepare(schedule, initial, target)
+    path = [] if record_path else None
+    lifetime, occupancy = _simulate_rows(
+        schedule, thresholds, inc, vcum, int(start), rng, 1, np.zeros(1, dtype=np.intp),
+        int(step_cap), path,
+    )
+    return TrajectoryOutcome(
+        lifetime=int(lifetime[0]),
+        occupancy=int(occupancy[0]),
+        path=tuple(int(s[0]) for s in path) if record_path else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -165,6 +190,11 @@ class EmpiricalSummary:
         )
 
 
+def _tally(counts: Counter, values: np.ndarray) -> None:
+    keys, n = np.unique(values, return_counts=True)
+    counts.update(dict(zip(keys.tolist(), n.tolist())))
+
+
 def empirical_distribution(
     schedule: Schedule,
     initial,
@@ -177,28 +207,40 @@ def empirical_distribution(
 ) -> EmpiricalSummary:
     """Simulate n_samples trajectories and histogram their outcomes.
 
-    Trajectory i (global index first_index + i) uses its own generator
-    np.random.default_rng((seed, index)), so a run split across workers as
-    [0, k) and [k, n) merges to exactly the single-run result.
+    The run covers global trajectory indices first_index .. first_index +
+    n_samples - 1. Trajectory g is row g % BLOCK of block g // BLOCK, and
+    block b draws from np.random.default_rng((seed, b)) as described in the
+    module docstring; only the requested rows of a block are simulated. An
+    outcome depends only on (seed, g), so a run split across workers as
+    [0, k) and [k, n), for any k, merges to exactly the single-run result.
+
+    Memory stays proportional to BLOCK, not to n_samples. The step cap
+    applies to a block: NonTerminatingError is raised once any requested
+    row is still alive after step_cap steps, and a block that never dies
+    pays for stepping all its rows that far: about 4 s for a full block and
+    step_cap = 10**5 on a 2-core x86_64 host. Check that a chain absorbs
+    (for example with occupancy_distribution) before simulating it with the
+    default cap.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    v = validate_distribution(initial, schedule.d)
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
-    cums = _cumulative_columns(schedule)
-    vcum = tuple(np.cumsum(v))
-    in_target = tuple(j in target.members for j in range(schedule.d))
-    start = int(start)
-    step_cap = int(step_cap)
+    lo = int(first_index)
+    if lo < 0:
+        raise ValueError(f"first_index must be nonnegative, got {lo}")
+    thresholds, inc, vcum = _prepare(schedule, initial, target)
+    hi = lo + n_samples
     occ: Counter = Counter()
     life: Counter = Counter()
-    for i in range(int(first_index), int(first_index) + n_samples):
-        rng = np.random.default_rng((int(seed), i))
-        out = _run_one(schedule, cums, vcum, in_target, start, rng, step_cap, False)
-        occ[out.occupancy] += 1
-        life[out.lifetime] += 1
+    for block in range(lo // BLOCK, (hi - 1) // BLOCK + 1):
+        base = block * BLOCK
+        rows = np.arange(max(lo - base, 0), min(hi - base, BLOCK))
+        lifetime, occupancy = _simulate_rows(
+            schedule, thresholds, inc, vcum, int(start),
+            np.random.default_rng((int(seed), block)), BLOCK, rows, int(step_cap),
+        )
+        _tally(life, lifetime)
+        _tally(occ, occupancy)
     return EmpiricalSummary(
         n_samples=n_samples,
         occupancy_counts=dict(occ),

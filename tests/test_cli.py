@@ -1,11 +1,14 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
 import stagedwell as sw
 from stagedwell.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GEOMETRIC = json.dumps({
     "states": ["out", "in"],
@@ -184,6 +187,22 @@ class TestSimulate:
         _, out2, _ = run(capsys, base + ["--seed", "2"])
         assert out1 != out2
 
+    def test_never_absorbing_stops_at_max_horizon(self, capsys, tmp_path):
+        path = tmp_path / "immortal.json"
+        path.write_text(json.dumps({
+            "states": ["out", "in"],
+            "matrices": {"I": [[1.0, 0.0], [0.0, 1.0]]},
+            "schedule": {"kind": "constant", "matrix": "I"},
+            "initial": [1.0, 0.0],
+            "target_set": ["in"],
+            "max_horizon": 50,
+        }))
+        code, out, err = run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: NonAbsorbingError")
+
 
 class TestEnvSweep:
     def test_corners_only(self, capsys, tmp_path):
@@ -205,7 +224,7 @@ class TestEnvSweep:
                                       "--grid-step", "1.0", "--samples", "10"])
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "p_f,p_o,p_u,mean,cv,within_var,between_var"
+        assert lines[0] == "p_A,p_B,p_C,mean,cv,within_var,between_var"
         assert len(lines) == 4
         assert lines[1].startswith("1.0,0.0,0.0,")
         assert lines[3].startswith("0.0,0.0,1.0,")
@@ -241,6 +260,25 @@ class TestEnvSweep:
         assert out_path.read_text() == exports[1].read_text()
         # one-step sequences hold their first condition, which shows in the table
         assert out_path.read_text() != exports[None].read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_named_after_the_matrices(self, capsys, tmp_path, fmt):
+        doc = json.loads((SCENARIOS / "fulmar_random_environment.json").read_text())
+        names = {"U_f": "A", "U_o": "B", "U_u": "C"}
+        doc["matrices"] = {names[k]: m for k, m in doc["matrices"].items()}
+        doc["schedule"]["probabilities"] = {
+            names[k]: p for k, p in doc["schedule"]["probabilities"].items()}
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["env-sweep", "--scenario", str(path), "--grid-step", "1.0",
+                                      "--samples", "4", "--format", fmt])
+        assert code == 0, err
+        if fmt == "csv":
+            assert out.splitlines()[0] == "p_A,p_B,p_C,mean,cv,within_var,between_var"
+        else:
+            grid = json.loads(out)["grid"]
+            assert [list(pt)[:3] for pt in grid] == [["p_A", "p_B", "p_C"]] * 3
+            assert grid[0]["p_A"] == 1.0
 
     def test_needs_three_matrices(self, capsys, geometric_path):
         code, _, err = run(capsys, ["env-sweep", "--scenario", geometric_path,

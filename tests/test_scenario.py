@@ -242,13 +242,14 @@ class TestExportResults:
     def test_sweep_csv_header_and_failed_point(self):
         stats = sw.TwoLevelStats(2, 1.0, 0.5, 0.0, 0.5, 0.7)
         points = [
-            sw.SweepPoint((1.0, 0.0, 0.0), stats),
-            sw.SweepPoint((0.0, 1.0, 0.0), None, error="NonAbsorbingError: stuck"),
+            sw.SweepPoint((1.0, 0.0, 0.0), stats, labels=("U_f", "U_o", "U_u")),
+            sw.SweepPoint((0.0, 1.0, 0.0), None, error="NonAbsorbingError: stuck",
+                          labels=("U_f", "U_o", "U_u")),
         ]
         buf = io.StringIO()
         sw.export_results(points, "csv", buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "p_f,p_o,p_u,mean,cv,within_var,between_var"
+        assert lines[0] == "p_U_f,p_U_o,p_U_u,mean,cv,within_var,between_var"
         assert lines[1] == "1.0,0.0,0.0,1.0,0.7,0.5,0.0"
         assert lines[2] == "0.0,1.0,0.0,nan,nan,nan,nan"
 

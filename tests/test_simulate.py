@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,34 @@ class TestSimulateTrajectory:
                                      rng=np.random.default_rng(3))
         assert out.path is None
 
+    def test_pinned_outcomes_on_random_explicit_schedule(self):
+        # reference values from a scalar one-trajectory-at-a-time simulator;
+        # lives run past the 8-step prefix into the held last matrix
+        rng = np.random.default_rng(2024)
+        sched = random_schedule(rng, d=3, length=8, low=0.8, high=0.95)
+        v = random_distribution(rng, 3)
+        target = sw.TargetSet(3, frozenset({0, 2}))
+        expected = [
+            (5, 4, (2, 1, 0, 0, 2)),
+            (1, 1, (2,)),
+            (16, 9, (2, 1, 2, 0, 2, 2, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1)),
+            (15, 5, (2, 1, 2, 2, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1)),
+            (2, 1, (2, 1)),
+            (9, 7, (2, 2, 2, 0, 0, 1, 1, 0, 0)),
+            (4, 1, (2, 1, 1, 1)),
+            (16, 8, (2, 2, 2, 0, 1, 2, 0, 2, 2, 1, 1, 1, 1, 1, 1, 1)),
+            (1, 1, (2,)),
+            (5, 3, (2, 1, 1, 2, 2)),
+        ]
+        for seed, want in enumerate(expected):
+            gen = np.random.default_rng(seed)
+            out = sw.simulate_trajectory(sched, v, target, rng=gen, start=2, record_path=True)
+            assert (out.lifetime, out.occupancy, out.path) == want
+            # one uniform for the initial stage and one per step lived
+            ref = np.random.default_rng(seed)
+            ref.random(out.lifetime + 1)
+            assert gen.random() == ref.random()
+
 
 class TestEmpiricalDistribution:
     def test_counts_sum_to_samples(self):
@@ -95,6 +125,67 @@ class TestEmpiricalDistribution:
                                             n_samples=20000, seed=2)
         # E[tau] = 1, Var = 2: keep 4 standard errors of slack
         assert abs(summary.mean - 1.0) < 4 * summary.std_error
+
+    def test_split_inside_a_block_merges_bit_exactly(self):
+        sched, target = geom_setup()
+        full = sw.empirical_distribution(sched, [1.0, 0.0], target, n_samples=2500, seed=4)
+        first = sw.empirical_distribution(sched, [1.0, 0.0], target, n_samples=1234, seed=4)
+        second = sw.empirical_distribution(sched, [1.0, 0.0], target,
+                                           n_samples=1266, seed=4, first_index=1234)
+        assert first.merge(second) == full
+        assert first.merge(second).variance == full.variance
+
+    def test_one_late_trajectory_is_its_row_of_a_larger_run(self):
+        rng = np.random.default_rng(5)
+        sched = random_schedule(rng, d=3, length=6, low=0.6, high=0.9)
+        v = random_distribution(rng, 3)
+        target = sw.TargetSet(3, frozenset({1}))
+        one = sw.empirical_distribution(sched, v, target, n_samples=1, seed=8,
+                                        start=3, first_index=1500)
+        upto = sw.empirical_distribution(sched, v, target, n_samples=1500, seed=8, start=3)
+        past = sw.empirical_distribution(sched, v, target, n_samples=1501, seed=8, start=3)
+        assert one.lifetime_counts == dict(Counter(past.lifetime_counts)
+                                           - Counter(upto.lifetime_counts))
+        assert one.occupancy_counts == dict(Counter(past.occupancy_counts)
+                                            - Counter(upto.occupancy_counts))
+        # the documented contract, one scalar step at a time: row 500 of
+        # block 1 reads entry 500 of each random(1000) drawn from (seed, 1)
+        gen = np.random.default_rng((8, 1))
+        stage = min(int(np.searchsorted(np.cumsum(v), gen.random(1000)[500], side="right")), 2)
+        lifetime = occupancy = 0
+        while stage < 3:
+            occupancy += stage in target
+            u = gen.random(1000)[500]
+            stage = int((u >= np.cumsum(sched.matrix_at(3 + lifetime)[:, stage])).sum())
+            lifetime += 1
+        assert one.lifetime_counts == {lifetime: 1}
+        assert one.occupancy_counts == {occupancy: 1}
+
+    def test_counts_are_python_ints(self):
+        sched, target = geom_setup()
+        summary = sw.empirical_distribution(sched, [1.0, 0.0], target, n_samples=1500, seed=1)
+        for counts in (summary.occupancy_counts, summary.lifetime_counts):
+            assert all(type(k) is int and type(c) is int for k, c in counts.items())
+
+    def test_never_dying_block_hits_step_cap(self):
+        sched = sw.Schedule.constant(np.eye(2))
+        with pytest.raises(sw.NonTerminatingError) as info:
+            sw.empirical_distribution(sched, [1.0, 0.0], sw.TargetSet.none(2),
+                                      n_samples=10, step_cap=50)
+        assert info.value.step_cap == 50
+
+    def test_lives_outrunning_an_error_schedule(self):
+        sched = sw.Schedule.explicit([[[0.0, 0.0], [0.9, 0.9]]], [0, 0, 0], extension="error")
+        with pytest.raises(sw.ScheduleExhaustedError):
+            sw.empirical_distribution(sched, [1.0, 0.0], sw.TargetSet(2, frozenset({1})),
+                                      n_samples=100, seed=3)
+
+    def test_bad_sample_range(self):
+        sched, target = geom_setup()
+        with pytest.raises(ValueError):
+            sw.empirical_distribution(sched, [1.0, 0.0], target, n_samples=0)
+        with pytest.raises(ValueError):
+            sw.empirical_distribution(sched, [1.0, 0.0], target, n_samples=5, first_index=-1)
 
     def test_single_sample_variance_is_zero(self):
         sched, target = geom_setup()
