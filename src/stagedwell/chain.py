@@ -9,6 +9,7 @@ stage probabilities are propagated by left multiplication, w(n+1) = B(n) w(n).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,10 @@ def validate_distribution(raw, d: int | None = None) -> np.ndarray:
 
     Returns a read-only float64 copy.
     """
-    v = np.array(raw, dtype=float)
+    try:
+        v = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDistributionError(f"not a numeric vector: {exc}") from None
     if v.ndim != 1:
         raise InvalidDistributionError(f"expected a 1-d vector, got shape {v.shape}")
     if d is not None and v.size != d:
@@ -281,6 +285,47 @@ def _check_truncation(tail_tol: float, max_horizon: int) -> tuple[float, int]:
     return tail_tol, max_horizon
 
 
+def _negligible(mass: float, t: int, order: int, tail_tol: float) -> bool:
+    """The stopping rule: not mass * (t+1)**order >= tail_tol.
+
+    Past the float64 range of (t+1)**order the product exceeds any
+    tail_tol < 1 until the mass itself falls below the normal range, where
+    the recurrence no longer resolves it, so the rule then stops there. A
+    NaN mass, from a state that has overflowed, also stops the loop.
+    """
+    try:
+        return not mass * float(t + 1) ** order >= tail_tol
+    except OverflowError:
+        return not mass >= sys.float_info.min
+
+
+def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=np.ndarray.sum, order=0):
+    """The one stepping loop of the exact engines; returns the final state.
+
+    Step t lifts the state by the engine's pre-transition `lift`, calls
+    keep(state, lifted, b) with the absorption vector b of the matrix B
+    acting at time start + t, and moves on to lifted @ B'. Each engine
+    keeps what it needs: the absorption losses lifted @ b, or every state.
+    The loop stops before step t once mass(state) * (t+1)**order < tail_tol
+    (order 0 for the distributions; see moment_tables for why moments
+    weight the mass) and raises NonAbsorbingError if that has not happened
+    within max_horizon steps.
+    """
+    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
+    start = int(start)
+    transposed = [m.T for m in schedule.matrices]
+    t = 0
+    while not _negligible(surviving := float(mass(state)), t, order, tail_tol):
+        if t >= max_horizon:
+            raise NonAbsorbingError(surviving, max_horizon)
+        k = schedule.index_at(start + t)
+        lifted = lift(state)
+        keep(state, lifted, schedule._absorptions[k])
+        state = lifted @ transposed[k]
+        t += 1
+    return state
+
+
 def lifetime_distribution(
     schedule: Schedule,
     initial,
@@ -297,20 +342,10 @@ def lifetime_distribution(
     the mass is still above tolerance after `max_horizon` steps the schedule
     is considered non-absorbing and NonAbsorbingError is raised.
     """
-    v = validate_distribution(initial, schedule.d)
-    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    start = int(start)
-    w = np.array(v)
-    probs: dict[int, float] = {}
-    mass = float(w.sum())
-    steps = 0
-    while mass >= tail_tol:
-        if steps >= max_horizon:
-            raise NonAbsorbingError(mass, max_horizon)
-        died = float(schedule.absorption_at(start + steps) @ w)
-        w = schedule.matrix_at(start + steps) @ w
-        steps += 1
-        if died != 0.0:
-            probs[steps] = died
-        mass = float(w.sum())
-    return LifetimeDistribution(probs, tail_mass=mass)
+    deaths: list[float] = []
+    w = _recurrence(
+        schedule, validate_distribution(initial, schedule.d), start, tail_tol, max_horizon,
+        lift=lambda w: w, keep=lambda w, _, b: deaths.append(float(w @ b)),
+    )
+    probs = {n: died for n, died in enumerate(deaths, start=1) if died != 0.0}
+    return LifetimeDistribution(probs, tail_mass=float(w.sum()))

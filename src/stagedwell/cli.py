@@ -192,6 +192,7 @@ def cmd_simulate(args) -> int:
     summary = empirical_distribution(
         schedule, config.initial, target,
         n_samples=args.samples, seed=args.seed, start=config.start,
+        step_cap=config.max_horizon,
     )
     tv = total_variation(analytic, summary.occupancy_counts, summary.n_samples)
     err = abs(summary.mean - analytic.mean())
@@ -216,9 +217,17 @@ def cmd_env_sweep(args) -> int:
         tail_tol=config.tail_tol, max_horizon=config.max_horizon,
         sample_length=length,
     )
+    drawn = config.max_horizon if length is None else length
     for pt in points:
+        where = _fmt_vector(pt.probabilities)
         if pt.error is not None:
-            print(f"warning: grid point {pt.probabilities} failed: {pt.error}", file=sys.stderr)
+            print(f"warning: grid point {where} failed: {pt.error}", file=sys.stderr)
+        elif pt.stats.held_last:
+            print(
+                f"warning: grid point {where}: {pt.stats.held_last} of {pt.stats.n_sequences} "
+                f"sequences outlived the drawn length {drawn} and held their last condition",
+                file=sys.stderr,
+            )
     export_results(points, args.format, args.out)
     return 0
 
@@ -265,11 +274,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StagedwellError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (StagedwellError, ValueError, OSError) as exc:
+        # one line, whatever line breaks the message quotes from the input
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

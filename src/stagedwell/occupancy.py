@@ -19,6 +19,7 @@ without ever forming the full distribution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +30,10 @@ from .chain import (
     DiscreteDistribution,
     Schedule,
     StateSpace,
-    _check_truncation,
+    _recurrence,
     validate_distribution,
 )
-from .errors import NegativeVarianceError, NonAbsorbingError
+from .errors import NegativeVarianceError
 
 # Roundoff allowance when deciding that a variance is genuinely negative
 # rather than a victim of cancellation between nearly equal moments.
@@ -101,6 +102,14 @@ def _transport(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _occupancy_start(schedule: Schedule, initial, target: TargetSet) -> np.ndarray:
+    """Validated initial distribution as the one-row table p(0, start)."""
+    v = validate_distribution(initial, schedule.d)
+    if target.d != schedule.d:
+        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
+    return v[np.newaxis, :]
+
+
 @dataclass(frozen=True, eq=False)
 class JointOccupancyTable:
     """Tables p(a, n) for n = start .. start + horizon.
@@ -164,26 +173,16 @@ def evolve_joint(
     below-tolerance table is included); raises NonAbsorbingError if that has
     not happened within max_horizon steps.
     """
-    v = validate_distribution(initial, schedule.d)
-    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
-    start = int(start)
     r = target.mask
-    rows = v[np.newaxis, :].copy()
-    tables = [rows.copy()]
-    mass = float(rows.sum())
-    t = 0
-    while mass >= tail_tol:
-        if t >= max_horizon:
-            raise NonAbsorbingError(mass, max_horizon)
-        rows = _transport(rows, r) @ schedule.matrix_at(start + t).T
-        tables.append(rows.copy())
-        mass = float(rows.sum())
-        t += 1
+    tables = []
+    final = _recurrence(
+        schedule, _occupancy_start(schedule, initial, target), start, tail_tol, max_horizon,
+        lift=lambda rows: _transport(rows, r), keep=lambda rows, *_: tables.append(rows),
+    )
+    tables.append(final)
     for tab in tables:
         tab.flags.writeable = False
-    return JointOccupancyTable(start=start, values=tuple(tables))
+    return JointOccupancyTable(start=int(start), values=tuple(tables))
 
 
 def occupancy_distribution(
@@ -202,37 +201,43 @@ def occupancy_distribution(
     n-sum stops once surviving mass is below tail_tol and the neglected mass
     is reported as the tail (each stored atom is exact up to that tail).
     """
-    v = validate_distribution(initial, schedule.d)
-    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
-    start = int(start)
     r = target.mask
-    rows = v[np.newaxis, :].copy()
     acc = np.zeros(64)
-    mass = float(rows.sum())
-    t = 0
-    while mass >= tail_tol:
-        if t >= max_horizon:
-            raise NonAbsorbingError(mass, max_horizon)
-        moved = _transport(rows, r)
-        if acc.size < t + 2:
+
+    def keep(rows, moved, b):
+        nonlocal acc
+        if acc.size < moved.shape[0]:
             acc = np.concatenate([acc, np.zeros(acc.size)])
-        acc[: t + 2] += moved @ schedule.absorption_at(start + t)
-        rows = moved @ schedule.matrix_at(start + t).T
-        mass = float(rows.sum())
-        t += 1
-    probs = {a: float(p) for a, p in enumerate(acc[: t + 1]) if p != 0.0}
-    return OccupancyDistribution(probs, tail_mass=mass)
+        acc[: moved.shape[0]] += moved @ b
+
+    rows = _recurrence(
+        schedule, _occupancy_start(schedule, initial, target), start, tail_tol, max_horizon,
+        lift=lambda rows: _transport(rows, r), keep=keep,
+    )
+    probs = {a: float(p) for a, p in enumerate(acc[: rows.shape[0]]) if p != 0.0}
+    return OccupancyDistribution(probs, tail_mass=float(rows.sum()))
 
 
 def _binomial_shift(order: int) -> np.ndarray:
     """Strictly lower-triangular matrix with L[k, k-j] = C(k, j), j = 1..k."""
+    if math.comb(order, order // 2) > sys.float_info.max:
+        raise ValueError(f"binomial weights of order {order} overflow float64")
     L = np.zeros((order + 1, order + 1))
     for k in range(1, order + 1):
         for j in range(1, k + 1):
             L[k, k - j] = math.comb(k, j)
     return L
+
+
+def _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep):
+    """Run the moment stack M, row k holding m_k(n), from M[0] = initial,
+    with A = M + (L @ M) * r lifting M before each transition."""
+    M = np.zeros((order + 1, schedule.d))
+    M[0] = _occupancy_start(schedule, initial, target)[0]
+    shift = _binomial_shift(order)
+    r = target.mask
+    return _recurrence(schedule, M, start, tail_tol, max_horizon, order=order, keep=keep,
+                       lift=lambda M: M + (shift @ M) * r, mass=lambda M: M[0].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,32 +288,15 @@ def moment_tables(
     reported moment is then of order tail_tol rather than
     tail_tol * horizon^order.
     """
-    v = validate_distribution(initial, schedule.d)
-    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     order = int(order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
-    start = int(start)
-    r = target.mask
-    shift = _binomial_shift(order)
-    M = np.zeros((order + 1, schedule.d))
-    M[0] = v
-    stack = [M.copy()]
-    mass = float(M[0].sum())
-    t = 0
-    while mass * float(t + 1) ** order >= tail_tol:
-        if t >= max_horizon:
-            raise NonAbsorbingError(mass, max_horizon)
-        A = M + (shift @ M) * r
-        M = A @ schedule.matrix_at(start + t).T
-        stack.append(M.copy())
-        mass = float(M[0].sum())
-        t += 1
-    values = np.array(stack)
+    stack = []
+    final = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
+                               keep=lambda M, *_: stack.append(M))
+    values = np.array(stack + [final])
     values.flags.writeable = False
-    return MomentTable(start=start, order=order, values=values)
+    return MomentTable(start=int(start), order=order, values=values)
 
 
 def occupancy_moments(
@@ -327,29 +315,18 @@ def occupancy_moments(
     same moment-aware stopping rule (see moment_tables), so the truncation
     error in each reported moment is of order tail_tol.
     """
-    v = validate_distribution(initial, schedule.d)
-    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     order = int(order)
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
-    start = int(start)
-    r = target.mask
-    shift = _binomial_shift(order)
-    M = np.zeros((order + 1, schedule.d))
-    M[0] = v
     acc = np.zeros(order + 1)
-    mass = float(M[0].sum())
-    t = 0
-    while mass * float(t + 1) ** order >= tail_tol:
-        if t >= max_horizon:
-            raise NonAbsorbingError(mass, max_horizon)
-        A = M + (shift @ M) * r
-        acc += A @ schedule.absorption_at(start + t)
-        M = A @ schedule.matrix_at(start + t).T
-        mass = float(M[0].sum())
-        t += 1
+
+    def keep(M, A, b):
+        acc[:] += A @ b
+
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep)
+    if not np.isfinite(acc).all():
+        raise ValueError(f"occupancy moments up to order {order} overflow float64")
     return [float(x) for x in acc[1:]]
 
 

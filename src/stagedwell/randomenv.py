@@ -111,7 +111,11 @@ def sample_schedule(spec: RandomEnvironmentSpec, length: int, rng: np.random.Gen
 
 @dataclass(frozen=True)
 class TwoLevelStats:
-    """Occupancy statistics under sequence-level environmental randomness."""
+    """Occupancy statistics under sequence-level environmental randomness.
+
+    held_last counts the sequences followed past their drawn length, which
+    held their last condition from there on.
+    """
 
     n_sequences: int
     mean_of_means: float
@@ -119,6 +123,7 @@ class TwoLevelStats:
     between_variance: float
     total_variance: float
     coefficient_of_variation: float
+    held_last: int = 0
 
 
 def _seed_entropy(seed) -> tuple[int, ...]:
@@ -134,7 +139,8 @@ def _sequence_moments(spec, v, r, n_sequences, base, start, tail_tol, max_horizo
     acc += A b and M <- A U', on stacked arrays whose row s belongs to
     sequence live[s]. A sequence leaves the live rows once its own stopping
     rule is met. It draws condition indices from default_rng((*base, i)) in
-    chunks, never past `length`, and holds the last one beyond it.
+    chunks, never past `length`, and holds the last one beyond it. Returns
+    the first and second moments and the number of sequences that held.
     """
     U_t = np.stack(spec.matrices).transpose(0, 2, 1)
     b = np.stack([absorption_vector(m) for m in spec.matrices])
@@ -147,6 +153,7 @@ def _sequence_moments(spec, v, r, n_sequences, base, start, tail_tol, max_horizo
     acc = np.zeros((n_sequences, 3))
     drawn = np.empty((n_sequences, 0), dtype=np.intp)
     mass = M[:, 0].sum(axis=1)
+    held = 0
     t = 0
     while True:
         weight = float(t + 1) ** 2
@@ -155,9 +162,11 @@ def _sequence_moments(spec, v, r, n_sequences, base, start, tail_tol, max_horizo
             moments[live[~going]] = acc[~going]
             live, M, acc, drawn, mass = live[going], M[going], acc[going], drawn[going], mass[going]
             if live.size == 0:
-                return moments[:, 1], moments[:, 2]
+                return moments[:, 1], moments[:, 2], held
         if t >= max_horizon:
             raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
+        if start + t == max(length, start):
+            held = live.size
         n = min(start + t, length - 1)
         if n >= drawn.shape[1]:
             size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
@@ -210,7 +219,7 @@ def two_level_stats(
     v = validate_distribution(initial, spec.d)
     if target.d != spec.d:
         raise ValueError(f"target set is over {target.d} stages, conditions over {spec.d}")
-    means, second = _sequence_moments(
+    means, second, held = _sequence_moments(
         spec, v, target.mask, n_sequences, _seed_entropy(seed), start,
         tail_tol, max_horizon, length,
     )
@@ -227,6 +236,7 @@ def two_level_stats(
         between_variance=between,
         total_variance=total,
         coefficient_of_variation=cv,
+        held_last=held,
     )
 
 

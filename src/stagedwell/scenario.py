@@ -348,117 +348,68 @@ def format_number(x) -> str:
     return s
 
 
-def _round12(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(f"{float(x):.12g}")
+def _rounded(x):
+    """A JSON-ready copy of x: floats at 12 significant digits, keys as strings."""
+    if isinstance(x, dict):
+        return {str(k): _rounded(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_rounded(v) for v in x]
+    if isinstance(x, float) and math.isfinite(x):
+        return float(f"{x:.12g}")
+    return x
 
 
-def _distribution_rows(dist: DiscreteDistribution, value_column: str) -> tuple[str, list]:
-    rows = [(a, dist.probs[a]) for a in sorted(dist.probs)]
-    rows.append(("tail_mass", dist.tail_mass))
-    return f"{value_column},probability", rows
-
-
-def _result_table(result, metadata) -> tuple[str, list]:
-    """(header, rows) for any exportable result; rows hold raw values."""
-    if isinstance(result, LifetimeDistribution):
-        header, rows = _distribution_rows(result, "n")
-    elif isinstance(result, DiscreteDistribution):
-        header, rows = _distribution_rows(result, "a")
-    elif isinstance(result, TwoLevelStats):
-        header = "mean,cv,within_var,between_var,total_var,n_sequences"
-        rows = [(
-            result.mean_of_means,
-            result.coefficient_of_variation,
-            result.mean_within_variance,
-            result.between_variance,
-            result.total_variance,
-            result.n_sequences,
-        )]
-    elif isinstance(result, EmpiricalSummary):
-        header = "tau,count"
-        rows = [(a, c) for a, c in sorted(result.occupancy_counts.items())]
-        rows += [
-            ("n_samples", result.n_samples),
-            ("mean", result.mean),
-            ("variance", result.variance),
-            ("std_error", result.std_error),
-        ]
-    elif isinstance(result, list) and result and isinstance(result[0], SweepPoint):
-        header = ",".join(f"p_{lab}" for lab in result[0].labels) + ",mean,cv,within_var,between_var"
-        rows = []
-        for pt in result:
-            if pt.stats is None:
-                rows.append((*pt.probabilities, math.nan, math.nan, math.nan, math.nan))
-            else:
-                rows.append((
-                    *pt.probabilities,
-                    pt.stats.mean_of_means,
-                    pt.stats.coefficient_of_variation,
-                    pt.stats.mean_within_variance,
-                    pt.stats.between_variance,
-                ))
-    elif isinstance(result, list) and all(isinstance(x, (int, float)) for x in result):
-        header = "k,moment"
-        rows = [(k, float(x)) for k, x in enumerate(result, start=1)]
-    else:
-        raise ScenarioError(f"cannot export a result of type {type(result).__name__}")
-    rows += [tuple(item) for item in metadata]
-    return header, rows
-
-
-def _result_json(result, metadata) -> dict:
-    meta = {str(k): (_round12(v) if isinstance(v, float) else v) for k, v in metadata}
+def _export_parts(result) -> tuple[str, list, dict]:
+    """(CSV header, CSV rows, JSON document) of any exportable result, with
+    raw values; both formats are rendered from these."""
     if isinstance(result, DiscreteDistribution):
-        kind = "lifetime" if isinstance(result, LifetimeDistribution) else "occupancy"
-        doc: dict = {
-            "kind": kind,
-            "probs": {str(a): _round12(p) for a, p in sorted(result.probs.items())},
-            "tail_mass": _round12(result.tail_mass),
-        }
-    elif isinstance(result, TwoLevelStats):
-        doc = {
+        lifetime = isinstance(result, LifetimeDistribution)
+        probs = sorted(result.probs.items())
+        header = ("n" if lifetime else "a") + ",probability"
+        doc = {"kind": "lifetime" if lifetime else "occupancy", "probs": dict(probs),
+               "tail_mass": result.tail_mass}
+        return header, probs + [("tail_mass", result.tail_mass)], doc
+    if isinstance(result, TwoLevelStats):
+        record = {
+            "mean": result.mean_of_means,
+            "cv": result.coefficient_of_variation,
+            "within_var": result.mean_within_variance,
+            "between_var": result.between_variance,
+            "total_var": result.total_variance,
             "n_sequences": result.n_sequences,
-            "mean": _round12(result.mean_of_means),
-            "cv": _round12(result.coefficient_of_variation),
-            "within_var": _round12(result.mean_within_variance),
-            "between_var": _round12(result.between_variance),
-            "total_var": _round12(result.total_variance),
         }
-    elif isinstance(result, EmpiricalSummary):
+        return ",".join(record), [tuple(record.values())], record
+    if isinstance(result, EmpiricalSummary):
+        counts = sorted(result.occupancy_counts.items())
+        summary = {"mean": result.mean, "variance": result.variance, "std_error": result.std_error}
         doc = {
             "n_samples": result.n_samples,
-            "occupancy_counts": {str(a): c for a, c in sorted(result.occupancy_counts.items())},
-            "lifetime_counts": {str(n): c for n, c in sorted(result.lifetime_counts.items())},
-            "mean": _round12(result.mean),
-            "variance": _round12(result.variance),
-            "std_error": _round12(result.std_error),
+            "occupancy_counts": dict(counts),
+            "lifetime_counts": dict(sorted(result.lifetime_counts.items())),
+            **summary,
         }
-    elif isinstance(result, list) and result and isinstance(result[0], SweepPoint):
+        return "tau,count", counts + [("n_samples", result.n_samples), *summary.items()], doc
+    if isinstance(result, list) and result and isinstance(result[0], SweepPoint):
+        columns = [f"p_{lab}" for lab in result[0].labels] + ["mean", "cv", "within_var", "between_var"]
         grid = []
         for pt in result:
-            entry: dict = {
-                f"p_{lab}": _round12(p) for lab, p in zip(pt.labels, pt.probabilities)
-            }
+            entry = {f"p_{lab}": p for lab, p in zip(pt.labels, pt.probabilities)}
             if pt.stats is None:
                 entry["error"] = pt.error
             else:
                 entry.update(
-                    mean=_round12(pt.stats.mean_of_means),
-                    cv=_round12(pt.stats.coefficient_of_variation),
-                    within_var=_round12(pt.stats.mean_within_variance),
-                    between_var=_round12(pt.stats.between_variance),
+                    mean=pt.stats.mean_of_means,
+                    cv=pt.stats.coefficient_of_variation,
+                    within_var=pt.stats.mean_within_variance,
+                    between_var=pt.stats.between_variance,
                 )
             grid.append(entry)
-        doc = {"grid": grid}
-    elif isinstance(result, list) and all(isinstance(x, (int, float)) for x in result):
-        doc = {"moments": {str(k): _round12(float(x)) for k, x in enumerate(result, start=1)}}
-    else:
-        raise ScenarioError(f"cannot export a result of type {type(result).__name__}")
-    if meta:
-        doc["metadata"] = meta
-    return doc
+        rows = [tuple(entry.get(col, math.nan) for col in columns) for entry in grid]
+        return ",".join(columns), rows, {"grid": grid}
+    if isinstance(result, list) and all(isinstance(x, (int, float)) for x in result):
+        moments = [(k, float(x)) for k, x in enumerate(result, start=1)]
+        return "k,moment", moments, {"moments": dict(moments)}
+    raise ScenarioError(f"cannot export a result of type {type(result).__name__}")
 
 
 def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> None:
@@ -469,15 +420,18 @@ def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> N
     metadata key/value pairs are appended as trailing rows. fmt "json": one
     object with the same content.
     """
-    metadata = list(metadata)
+    metadata = [tuple(item) for item in metadata]
     if fmt == "csv":
-        header, rows = _result_table(result, metadata)
+        header, rows, _ = _export_parts(result)
         text = header + "\n" + "".join(
             ",".join(x if isinstance(x, str) else format_number(x) for x in row) + "\n"
-            for row in rows
+            for row in rows + metadata
         )
     elif fmt == "json":
-        text = json.dumps(_result_json(result, metadata), indent=2) + "\n"
+        _, _, doc = _export_parts(result)
+        if metadata:
+            doc["metadata"] = dict(metadata)
+        text = json.dumps(_rounded(doc), indent=2) + "\n"
     else:
         raise ScenarioError(f"unknown export format {fmt!r} (expected 'csv' or 'json')")
     if destination is None:

@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stagedwell as sw
 from stagedwell.cli import main
@@ -59,6 +63,16 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_error_quoting_a_line_break_is_one_line(self, capsys, tmp_path):
+        doc = json.loads(GEOMETRIC)
+        doc["matrices"] = {"G\nH": [[0.5]]}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["validate", "--scenario", str(path)])
+        assert code == 1
+        assert err == ("error: ScenarioParseError: matrices.G\\nH: expected shape (2, 2) "
+                       "to match states, got (1, 1)\n")
 
 
 class TestUsageErrors:
@@ -167,6 +181,16 @@ class TestMoments:
         assert out.splitlines() == ["k,moment",
                                     out.splitlines()[1]]  # single moment row
 
+    @pytest.mark.parametrize("order", ["200", "1100"])
+    def test_overflowing_order_is_one_error_line(self, capsys, order):
+        code, out, err = run(capsys, ["moments", "--scenario", "builtin:fulmar", "--order", order])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: ValueError: {'occupancy moments up to' if order == '200' else 'binomial weights of'}"
+            f" order {order} overflow float64"
+        ]
+
 
 class TestSimulate:
     def test_deterministic_and_annotated(self, capsys, geometric_path):
@@ -260,6 +284,13 @@ class TestEnvSweep:
         assert out_path.read_text() == exports[1].read_text()
         # one-step sequences hold their first condition, which shows in the table
         assert out_path.read_text() != exports[None].read_text()
+        # and is reported, once per grid point
+        assert err.splitlines() == [
+            f"warning: grid point {p}: 6 of 6 sequences outlived the drawn length 1 "
+            "and held their last condition"
+            for p in ("[1.0, 0.0, 0.0]", "[0.5, 0.5, 0.0]", "[0.5, 0.0, 0.5]",
+                      "[0.0, 1.0, 0.0]", "[0.0, 0.5, 0.5]", "[0.0, 0.0, 1.0]")
+        ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_columns_named_after_the_matrices(self, capsys, tmp_path, fmt):
@@ -285,6 +316,62 @@ class TestEnvSweep:
                                     "--grid-step", "1.0", "--samples", "5"])
         assert code == 1
         assert err.startswith("error:")
+
+
+# Scenario documents the fuzz test mutates: the two above and the shipped
+# files, which between them use every schedule kind.
+FUZZ_BASES = [json.loads(GEOMETRIC), json.loads(RANDOM_ENV)] + [
+    json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-2.0, 2.0)
+    | st.sampled_from([1e308, -1e308, 1e-320, float("nan"), float("inf")]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """A shipped or test scenario with up to three values replaced or
+    deleted at random depth; now and then not a scenario at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=20) | JSON_VALUES.map(json.dumps))
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                break
+            node = child
+        if len(node) > 1 and draw(st.integers(0, 3)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scenario_texts(), st.sampled_from(["validate", "lifetime", "occupancy", "moments"]),
+       st.integers(1, 300), st.sampled_from(["csv", "json"]))
+def test_fuzzed_scenarios_exit_cleanly(tmp_path_factory, text, command, order, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(text)
+    argv = [command, "--scenario", str(path), "--max-horizon", "200", "--format", fmt]
+    if command == "moments":
+        argv += ["--order", str(order)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().split("\n")
+        assert sum(line.startswith("error: ") for line in lines) == 1
 
 
 def test_console_script_installed(geometric_path):

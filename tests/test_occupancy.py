@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
-from helpers import random_distribution, random_schedule, random_target
+from helpers import random_distribution, random_schedule, random_substochastic, random_target
 from oracles import brute_force_moment, brute_force_occupancy
 
 # Two-stage chain where stage 1 is the target: from stage 0 move to 1 or die
@@ -224,12 +224,83 @@ class TestMoments:
         table = sw.moment_tables(sched, GEOM_V, target, order=0)
         assert table.vector(0, 3).sum() == pytest.approx(0.125, rel=1e-12)
 
+    def test_high_order_past_the_float_range_of_the_weight(self):
+        # (t+1)**90 leaves float64 near t = 2660; the moments themselves fit
+        fulmar = sw.builtin_fulmar_scenario()
+        args = (fulmar.build_schedule(), fulmar.initial, fulmar.target_set())
+        high = sw.occupancy_moments(*args, order=90)
+        assert np.isfinite(high).all()
+        assert high[:4] == pytest.approx(sw.occupancy_moments(*args, order=4), rel=1e-10)
+
+    def test_high_order_geometric_against_direct_sums(self):
+        # one stage surviving with q = 0.99: occupancy of the whole life is
+        # the lifetime, P(n) = (1-q) q^(n-1). (t+1)**80 leaves float64 near
+        # t = 7000, before the bulk of the 80th moment (n near 8000)
+        q, order = 0.99, 80
+        got = sw.occupancy_moments(sw.Schedule.constant([[q]]), [1.0], sw.TargetSet.all_states(1),
+                                   order=order)
+        n = np.arange(1.0, 100_001.0)
+        log_p = (n - 1) * np.log(q) + np.log1p(-q)
+        expected = [np.exp(k * np.log(n) + log_p).sum() for k in range(1, order + 1)]
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("order", [200, 1100])
+    def test_overflowing_order_is_named(self, order):
+        # order 200 overflows the moments; order 1100 already its binomial weights
+        fulmar = sw.builtin_fulmar_scenario()
+        with pytest.raises(ValueError, match=f"order {order} overflow"):
+            sw.occupancy_moments(fulmar.build_schedule(), fulmar.initial, fulmar.target_set(),
+                                 order=order)
+
     def test_order_validation(self):
         sched, target = geom_setup()
         with pytest.raises(ValueError):
             sw.occupancy_moments(sched, GEOM_V, target, order=0)
         with pytest.raises(ValueError):
             sw.moment_tables(sched, GEOM_V, target, order=-1)
+
+
+ENGINES = {
+    "lifetime_distribution": lambda s, v, target, **kw: sw.lifetime_distribution(s, v, **kw),
+    "evolve_joint": sw.evolve_joint,
+    "occupancy_distribution": sw.occupancy_distribution,
+    "moment_tables": sw.moment_tables,
+    "occupancy_moments": sw.occupancy_moments,
+}
+
+
+def _payload(result):
+    """What an engine result says, less its start time."""
+    if isinstance(result, sw.DiscreteDistribution):
+        return result.probs, result.tail_mass
+    if isinstance(result, sw.JointOccupancyTable):
+        return [tab.tolist() for tab in result.values]
+    if isinstance(result, sw.MomentTable):
+        return result.values.tolist()
+    return result
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_truncation_target_and_start_contract(engine):
+    run = ENGINES[engine]
+    rng = np.random.default_rng(29)
+    mats = [random_substochastic(rng, 3) for _ in range(6)]
+    v = random_distribution(rng, 3)
+    target = sw.TargetSet(3, frozenset({1}))
+    sched = sw.Schedule.explicit(mats, range(6))
+    for bad in ({"tail_tol": 0.0}, {"tail_tol": 1.0}, {"max_horizon": 0}):
+        with pytest.raises(ValueError):
+            run(sched, v, target, **bad)
+    with pytest.raises(sw.NonAbsorbingError) as info:
+        run(sw.Schedule.constant(np.eye(2)), [1.0, 0.0], sw.TargetSet(2, frozenset({0})),
+            max_horizon=50)
+    assert info.value.horizon == 50
+    if engine != "lifetime_distribution":
+        with pytest.raises(ValueError, match="target set is over 2 stages"):
+            run(sched, v, sw.TargetSet(2, frozenset({0})))
+    # entering at time 2 meets the same matrices as the schedule without its first two
+    shifted = run(sched, v, target, start=2)
+    assert _payload(shifted) == _payload(run(sw.Schedule.explicit(mats[2:], range(4)), v, target))
 
 
 class TestSummaryStats:

@@ -189,6 +189,23 @@ class TestTwoLevelStats:
         assert info.value.context == f"sequence {expected}"
         assert info.value.horizon == 50
 
+    def test_counts_sequences_that_held_their_last_condition(self):
+        # a first draw of the zero matrix ends a life in one step; a life
+        # that first draws the other condition outlives a one-draw sequence
+        spec = sw.RandomEnvironmentSpec(("live", "kill"), (0.5 * np.eye(2), np.zeros((2, 2))),
+                                        np.array([0.5, 0.5]))
+        firsts = [int(np.random.default_rng((4, i)).choice(2, size=1, p=spec.probabilities)[0])
+                  for i in range(20)]
+        target = sw.TargetSet(2, frozenset({0}))
+        short = sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=20, seed=4,
+                                   sample_length=1)
+        assert 0 < short.held_last == firsts.count(0) < 20
+        late = sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=20, seed=4, start=3,
+                                  sample_length=1)
+        assert late.held_last == 20
+        full = sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=20, seed=4)
+        assert full.held_last == 0
+
     def test_non_absorbing_sequence_reports_index(self):
         spec = sw.RandomEnvironmentSpec(("id",), (np.eye(2),), np.array([1.0]))
         with pytest.raises(sw.NonAbsorbingError) as info:

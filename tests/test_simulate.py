@@ -1,4 +1,5 @@
 from collections import Counter
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,14 @@ class TestEmpiricalDistribution:
             sw.empirical_distribution(sched, [1.0, 0.0], sw.TargetSet.none(2),
                                       n_samples=10, step_cap=50)
         assert info.value.step_cap == 50
+
+    def test_never_dying_life_stops_at_the_default_cap(self):
+        sched = sw.Schedule.constant(np.eye(2))
+        began = time.perf_counter()
+        with pytest.raises(sw.NonTerminatingError) as info:
+            sw.empirical_distribution(sched, [1.0, 0.0], sw.TargetSet.none(2), n_samples=1)
+        assert info.value.step_cap == sw.DEFAULT_MAX_HORIZON
+        assert time.perf_counter() - began < 30.0
 
     def test_lives_outrunning_an_error_schedule(self):
         sched = sw.Schedule.explicit([[[0.0, 0.0], [0.9, 0.9]]], [0, 0, 0], extension="error")
