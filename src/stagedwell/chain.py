@@ -231,8 +231,10 @@ class DiscreteDistribution:
     """Probability table over nonnegative integers, with truncated tail mass.
 
     `probs` maps support points to probabilities (exact zeros are omitted);
-    `tail_mass` is the probability neglected past the truncation horizon, so
-    the stored probabilities plus the tail account for all the mass.
+    `tail_mass` is the probability neglected past the truncation horizon (for
+    an occupancy distribution with a closed tail, that of an occupancy beyond
+    the last atom), so the stored probabilities plus the tail account for all
+    the mass.
     """
 
     probs: dict[int, float]
@@ -299,8 +301,9 @@ def _negligible(mass: float, t: int, order: int, tail_tol: float) -> bool:
         return not mass >= sys.float_info.min
 
 
-def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=np.ndarray.sum, order=0):
-    """The one stepping loop of the exact engines; returns the final state.
+def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=np.ndarray.sum, order=0,
+                until=None):
+    """The one stepping loop of the exact engines; returns (state, settled).
 
     Step t lifts the state by the engine's pre-transition `lift`, calls
     keep(state, lifted, b) with the absorption vector b of the matrix B
@@ -309,21 +312,26 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=
     The loop stops before step t once mass(state) * (t+1)**order < tail_tol
     (order 0 for the distributions; see moment_tables for why moments
     weight the mass) and raises NonAbsorbingError if that has not happened
-    within max_horizon steps.
+    within max_horizon steps. It returns the final state and whether the
+    stopping rule ended it: False only when it stopped before step `until`
+    with the mass still above the rule, for the engine to close the rest.
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     start = int(start)
     transposed = [m.T for m in schedule.matrices]
+    stop = max_horizon if until is None else min(until, max_horizon)
     t = 0
     while not _negligible(surviving := float(mass(state)), t, order, tail_tol):
-        if t >= max_horizon:
-            raise NonAbsorbingError(surviving, max_horizon)
+        if t >= stop:
+            if t >= max_horizon:
+                raise NonAbsorbingError(surviving, max_horizon)
+            return state, False
         k = schedule.index_at(start + t)
         lifted = lift(state)
         keep(state, lifted, schedule._absorptions[k])
         state = lifted @ transposed[k]
         t += 1
-    return state
+    return state, True
 
 
 def lifetime_distribution(
@@ -343,7 +351,7 @@ def lifetime_distribution(
     is considered non-absorbing and NonAbsorbingError is raised.
     """
     deaths: list[float] = []
-    w = _recurrence(
+    w, _ = _recurrence(
         schedule, validate_distribution(initial, schedule.d), start, tail_tol, max_horizon,
         lift=lambda w: w, keep=lambda w, _, b: deaths.append(float(w @ b)),
     )

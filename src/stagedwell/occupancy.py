@@ -18,6 +18,8 @@ without ever forming the full distribution.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,14 +32,21 @@ from .chain import (
     DiscreteDistribution,
     Schedule,
     StateSpace,
+    _check_truncation,
+    _negligible,
     _recurrence,
+    absorption_vector,
     validate_distribution,
 )
-from .errors import NegativeVarianceError
+from .errors import NegativeVarianceError, NonAbsorbingError
 
 # Roundoff allowance when deciding that a variance is genuinely negative
 # rather than a victim of cancellation between nearly equal moments.
 VARIANCE_TOL = 1e-12
+
+# A cycle's occupancy distribution is closed on the dense p*d phase x stage
+# chain only up to this many states; longer cycles keep the recurrence.
+MAX_CLOSED_CYCLE_STATES = 1024
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ def evolve_joint(
     """
     r = target.mask
     tables = []
-    final = _recurrence(
+    final, _ = _recurrence(
         schedule, _occupancy_start(schedule, initial, target), start, tail_tol, max_horizon,
         lift=lambda rows: _transport(rows, r), keep=lambda rows, *_: tables.append(rows),
     )
@@ -183,6 +192,88 @@ def evolve_joint(
     for tab in tables:
         tab.flags.writeable = False
     return JointOccupancyTable(start=int(start), values=tuple(tables))
+
+
+def _homogeneous_tail(schedule: Schedule, start: int):
+    """(t0, period): from step t0 after `start` on, `period` repeats forever.
+
+    A hold-last (or constant) schedule holds its last matrix from step
+    prefix_length - 1 - start; a cycle is taken from one period after
+    `start`, at phase start mod p. None when there is no such tail to close:
+    for an "error" schedule, and for a repeating chain some stage of which
+    cannot reach absorption at some phase, where no fundamental matrix exists.
+    """
+    start = int(start)
+    if schedule.extension == "error" or start < 0:
+        return None
+    if schedule.extension == "hold_last":
+        t0, p = max(schedule.prefix_length - 1 - start, 0), 1
+    else:
+        t0 = p = schedule.prefix_length
+    period = [schedule.matrices[schedule.index_at(start + t0 + m)] for m in range(p)]
+    dies = np.array([absorption_vector(H) > 0 for H in period])   # [m, j]: can die from j at phase m
+    while True:
+        before = dies.copy()
+        for m in reversed(range(p)):   # backwards, so one sweep follows a path once round the cycle
+            dies[m] |= (period[m] > 0).T @ dies[(m + 1) % p]
+        if (dies == before).all():
+            return (t0, period) if dies.all() else None
+
+
+def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
+    """Raise NonAbsorbingError as the recurrence would: if the mass of stage
+    vector x at step t0 of tail = (t0, period), carried on by the repeating
+    period to step max_horizon (by squaring the period product), is not
+    negligible there."""
+    (t0, period), (tail_tol, max_horizon) = tail, _check_truncation(tail_tol, max_horizon)
+    q, rest = divmod(max_horizon - t0, len(period))
+    product = functools.reduce(lambda acc, H: H @ acc, period)
+    while q:
+        if q & 1:
+            x = product @ x
+        product, q = product @ product, q >> 1
+    for H in period[:rest]:
+        x = H @ x
+    if not _negligible(mass := float(x.sum()), max_horizon, order, tail_tol):
+        raise NonAbsorbingError(mass, max_horizon)
+
+
+def _closed_distribution(rows, atoms, period, r, tail_tol):
+    """Occupancy atoms and tail_mass of table `rows` (p(a, j) at the first
+    step of the repeating `period`) plus the `atoms` lost before it.
+
+    From each stage, the number of further target visits is read off the
+    visit chain censored on the target stages of the p*d phase x stage chain
+    G: E = G_RN (I - G_NN)^-1 takes a non-target stage to the target stage
+    it next visits, Q = G_RR + E G_NR one target visit to the next, and
+    s = 1 - 1'Q is the chance of none after a visit. The table, moved to its
+    next visit, is convolved directly (no FFT, so atoms stay nonnegative)
+    with the visit pmf s' Q^(k-1), k = 1, 2, ..., until the mass still to
+    visit, the returned tail_mass, falls below tail_tol.
+    """
+    p, d = len(period), r.size
+    G = np.zeros((p, d, p, d))
+    for m, H in enumerate(period):
+        G[(m + 1) % p, :, m, :] = H
+    G = G.reshape(p * d, p * d)
+    R, N = np.flatnonzero(np.tile(r, p)), np.flatnonzero(np.tile(r == 0, p))
+    r0, n0 = np.flatnonzero(r), np.flatnonzero(r == 0)
+    rhs = np.hstack([G[np.ix_(N, R)], np.eye(N.size, n0.size)])  # block 0 comes first in N
+    W = np.maximum(np.linalg.solve(np.eye(N.size) - G[np.ix_(N, N)], rhs), 0.0)
+    Q = G[np.ix_(R, R)] + G[np.ix_(R, N)] @ W[:, :R.size]
+    E = G[np.ix_(R, N)] @ W[:, R.size:]
+    Y = rows[:, n0] @ E.T
+    Y[:, :r0.size] += rows[:, r0]
+    out = atoms[: rows.shape[0]] + rows[:, n0] @ np.maximum(1.0 - E.sum(axis=0), 0.0)
+    pmf, visit, waiting = [], np.maximum(1.0 - Q.sum(axis=0), 0.0), Y.sum(axis=0)
+    while (tail := float(waiting.sum())) >= tail_tol:
+        pmf.append(visit)
+        visit, waiting = visit @ Q, Q @ waiting
+    out = np.concatenate([out, np.zeros(len(pmf))])
+    if pmf:
+        pmf = np.array(pmf)
+        out[1:] += sum(np.convolve(Y[:, i], pmf[:, i]) for i in range(R.size))
+    return out, tail
 
 
 def occupancy_distribution(
@@ -200,6 +291,11 @@ def occupancy_distribution(
     over a stored table stack. Truncation mirrors lifetime_distribution: the
     n-sum stops once surviving mass is below tail_tol and the neglected mass
     is reported as the tail (each stored atom is exact up to that tail).
+
+    A hold-last or cycle schedule whose mass is not yet negligible where it
+    becomes homogeneous (see _homogeneous_tail) is closed there exactly by
+    _closed_distribution instead; tail_mass is then the probability of an
+    occupancy beyond the last atom, again below tail_tol.
     """
     r = target.mask
     acc = np.zeros(64)
@@ -210,34 +306,81 @@ def occupancy_distribution(
             acc = np.concatenate([acc, np.zeros(acc.size)])
         acc[: moved.shape[0]] += moved @ b
 
-    rows = _recurrence(
+    tail = _homogeneous_tail(schedule, start)
+    if tail and len(tail[1]) * schedule.d > MAX_CLOSED_CYCLE_STATES:
+        tail = None
+    rows, settled = _recurrence(
         schedule, _occupancy_start(schedule, initial, target), start, tail_tol, max_horizon,
-        lift=lambda rows: _transport(rows, r), keep=keep,
+        lift=lambda rows: _transport(rows, r), keep=keep, until=tail and tail[0],
     )
-    probs = {a: float(p) for a, p in enumerate(acc[: rows.shape[0]]) if p != 0.0}
-    return OccupancyDistribution(probs, tail_mass=float(rows.sum()))
+    if settled:
+        atoms, tail_mass = acc[: rows.shape[0]], float(rows.sum())
+    else:
+        _check_absorbs(tail, rows.sum(axis=0), 0, tail_tol, max_horizon)
+        atoms, tail_mass = _closed_distribution(rows, acc, tail[1], r, tail_tol)
+    probs = {a: float(p) for a, p in enumerate(atoms) if p != 0.0}
+    return OccupancyDistribution(probs, tail_mass=tail_mass)
 
 
 def _binomial_shift(order: int) -> np.ndarray:
-    """Strictly lower-triangular matrix with L[k, k-j] = C(k, j), j = 1..k."""
+    """Strictly lower-triangular matrix with L[k, i] = C(k, i), i < k.
+
+    Rows are built by Pascal's rule, C(k, i) = C(k-1, i) + C(k-1, i-1), in
+    float64: exact up to order 57, where the weights pass 2**53, and within
+    2e-15 relative of math.comb up to the largest order allowed, 1029.
+    """
     if math.comb(order, order // 2) > sys.float_info.max:
         raise ValueError(f"binomial weights of order {order} overflow float64")
-    L = np.zeros((order + 1, order + 1))
+    pascal = np.zeros((order + 1, order + 1))
+    pascal[:, 0] = 1.0
     for k in range(1, order + 1):
-        for j in range(1, k + 1):
-            L[k, k - j] = math.comb(k, j)
-    return L
+        pascal[k, 1 : k + 1] = pascal[k - 1, 1 : k + 1] + pascal[k - 1, :k]
+    return np.tril(pascal, -1)
 
 
-def _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep):
+def _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep, until=None):
     """Run the moment stack M, row k holding m_k(n), from M[0] = initial,
     with A = M + (L @ M) * r lifting M before each transition."""
     M = np.zeros((order + 1, schedule.d))
     M[0] = _occupancy_start(schedule, initial, target)[0]
     shift = _binomial_shift(order)
     r = target.mask
-    return _recurrence(schedule, M, start, tail_tol, max_horizon, order=order, keep=keep,
+    return _recurrence(schedule, M, start, tail_tol, max_horizon, order=order, keep=keep, until=until,
                        lift=lambda M: M + (shift @ M) * r, mass=lambda M: M[0].sum())
+
+
+def _closed_moments(M, period, r):
+    """E[(a + V)^k], k = 0..order, summed over the stack M of one phase of
+    the repeating `period`, V being the target visits still to come.
+
+    The backward per-stage moments u_k = E[V^k | stage] solve, phase by
+    phase, u_k = c_k + H' u_k(next phase) with c_k = r * (1 + sum_{0<i<k}
+    C(k, i) H' u_i(next phase)) (Caswell 2011's Markov chains with rewards;
+    Roth & Caswell 2018 for one held matrix). Around the cycle this is one
+    d x d system in I - Pi', Pi the period product, solved once per order
+    and substituted back through the phases. The stack then gives
+    sum_i C(k, i) M_{k-i} . u_i.
+    """
+    order, d = M.shape[0] - 1, r.size
+    p = len(period)
+    pascal = _binomial_shift(order) + np.eye(order + 1)
+    product = functools.reduce(lambda acc, H: H @ acc, period)
+    inverse = np.linalg.inv(np.eye(d) - product.T)
+    u = np.zeros((order + 1, p, d))       # u[k, m]: u_k at phase m
+    ahead = np.zeros((order + 1, p, d))   # ahead[k, m]: H_m' u_k(phase m + 1)
+    u[0] = 1.0
+    for k in range(1, order + 1):
+        c = r * (1.0 + np.tensordot(pascal[k, 1:k], ahead[1:k], axes=1))
+        carried = c[p - 1]
+        for m in range(p - 2, -1, -1):
+            carried = c[m] + period[m].T @ carried
+        u[k, 0] = inverse @ carried
+        for m in range(p - 1, 0, -1):
+            u[k, m] = c[m] + period[m].T @ u[k, (m + 1) % p]
+        ahead[k] = [H.T @ u[k, (m + 1) % p] for m, H in enumerate(period)]
+    ks = np.arange(order + 1)
+    pairs = (M @ u[:, 0].T)[np.maximum(ks[:, None] - ks, 0), ks]   # [k, i <= k]: M_{k-i} . u_i
+    return (pascal * pairs).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,8 +435,9 @@ def moment_tables(
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     stack = []
-    final = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
-                               keep=lambda M, *_: stack.append(M))
+    with _overflow_named(order):
+        final, _ = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
+                                      keep=lambda M, *_: stack.append(M))
     values = np.array(stack + [final])
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
@@ -313,7 +457,10 @@ def occupancy_moments(
     Streams the same stacked recurrence as moment_tables, adding each step's
     absorption losses directly into the moment accumulators, and uses the
     same moment-aware stopping rule (see moment_tables), so the truncation
-    error in each reported moment is of order tail_tol.
+    error in each reported moment is of order tail_tol. A hold-last or cycle
+    schedule whose weighted mass is not yet negligible where it becomes
+    homogeneous (see _homogeneous_tail) is closed there exactly by
+    _closed_moments, with no truncation error.
     """
     order = int(order)
     if order < 1:
@@ -323,11 +470,25 @@ def occupancy_moments(
     def keep(M, A, b):
         acc[:] += A @ b
 
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep)
-    if not np.isfinite(acc).all():
-        raise ValueError(f"occupancy moments up to order {order} overflow float64")
+    tail = _homogeneous_tail(schedule, start)
+    with _overflow_named(order):
+        M, settled = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
+                                        keep, until=tail and tail[0])
+        if not settled:
+            _check_absorbs(tail, M[0], order, tail_tol, max_horizon)
+            acc += _closed_moments(M, tail[1], target.mask)
     return [float(x) for x in acc[1:]]
+
+
+@contextlib.contextmanager
+def _overflow_named(order: int):
+    """Turn a float64 overflow in the moment arithmetic, or the invalid
+    operation that follows one, into a ValueError naming the moment order."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"occupancy moments up to order {order} overflow float64") from None
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's recurrences. The brute-force oracle
 sums over every individual path of the chain in pure Python; the phase-type
-oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers.
+oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers; the
+mean oracles close an infinite horizon with a fundamental matrix (I - G)^-1.
 """
 
 from collections import defaultdict
@@ -66,3 +67,36 @@ def phase_type_pmf(B, v, n_max):
     return np.array([
         float(b @ np.linalg.matrix_power(B, n - 1) @ v) for n in range(1, n_max + 1)
     ])
+
+
+def hold_last_mean(prefix, held, v, w):
+    """E[sum_n w' x_n] for x_0 = v, x_(n+1) = U_n x_n, the `prefix` matrices
+    acting in turn and `held` forever after.
+
+    The prefix is summed step by step and the rest closed with the
+    fundamental matrix of `held`. With w = r this is the mean occupancy
+    time, with w = 1 the mean lifetime.
+    """
+    x = np.asarray(v, dtype=float)
+    total = 0.0
+    for U in prefix:
+        total += float(w @ x)
+        x = U @ x
+    return total + float(w @ np.linalg.solve(np.eye(len(x)) - held, x))
+
+
+def periodic_mean(period, v, w):
+    """E[sum_n w' x_n] when the `period` matrices repeat forever from v.
+
+    Solved in one piece on the block-cyclic chain G over (phase, stage):
+    block m moves to block m + 1 (mod p) by period[m], and the life starts
+    in block 0.
+    """
+    p, d = len(period), len(v)
+    G = np.zeros((p * d, p * d))
+    for m, U in enumerate(period):
+        n = (m + 1) % p
+        G[n * d:(n + 1) * d, m * d:(m + 1) * d] = U
+    x = np.zeros(p * d)
+    x[:d] = v
+    return float(np.tile(w, p) @ np.linalg.solve(np.eye(p * d) - G, x))

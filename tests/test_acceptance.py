@@ -16,6 +16,8 @@ from helpers import random_distribution, random_substochastic
 from oracles import (
     brute_force_moment,
     brute_force_occupancy,
+    hold_last_mean,
+    periodic_mean,
     phase_type_pmf,
 )
 
@@ -144,6 +146,40 @@ def test_brute_force_path_enumeration():
     print(f"brute force: 100 scenarios, max atom error {worst_atom:.3e}, "
           f"max moment error {worst_moment:.3e}")
     _finish(t0, 30.0, "brute-force oracle")
+
+
+def test_closed_tails_against_fundamental_matrices():
+    """Hold-last (d=32, 1000-step prefix) and cycle (d=16, period 12) chains,
+    closed where they turn homogeneous: means match the fundamental-matrix
+    oracles to 1e-10 relative, with tail_mass below tail_tol."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(60613)
+    mats = [random_substochastic(rng, 32, low=0.97, high=0.99) for _ in range(9)]
+    seq = rng.integers(0, 9, size=1000)
+    steps = [mats[k] for k in seq]
+    cases = [("hold-last", sw.Schedule.explicit(mats, seq), 0,
+              lambda v, w: hold_last_mean(steps[:-1], steps[-1], v, w))]
+    period = [random_substochastic(rng, 16, low=0.97, high=0.99) for _ in range(12)]
+    for start in (0, 5):
+        cases.append((f"cycle from {start}", sw.Schedule.periodic(period, range(12)), start,
+                      lambda v, w, s=start: periodic_mean(period[s:] + period[:s], v, w)))
+    worst = 0.0
+    for label, schedule, start, mean in cases:
+        d = schedule.d
+        v = random_distribution(rng, d)
+        members = frozenset(int(j) for j in rng.choice(d, size=d // 2, replace=False))
+        r = np.array([1.0 if j in members else 0.0 for j in range(d)])
+        target = sw.TargetSet(d, members)
+        expected = mean(v, r)
+        dist = sw.occupancy_distribution(schedule, v, target, start=start)
+        first = sw.occupancy_moments(schedule, v, target, start=start, order=2)[0]
+        assert dist.tail_mass <= sw.DEFAULT_TAIL_TOL, label
+        for got in (dist.mean(), first):
+            err = abs(got - expected) / expected
+            worst = max(worst, err)
+            assert err <= 1e-10, (label, got, expected)
+    print(f"closed tails: {len(cases)} chains, max relative error {worst:.3e}")
+    _finish(t0, 10.0, "closed tails")
 
 
 def test_monte_carlo_concordance():

@@ -244,6 +244,23 @@ class TestMoments:
         expected = [np.exp(k * np.log(n) + log_p).sum() for k in range(1, order + 1)]
         assert got == pytest.approx(expected, rel=1e-9)
 
+    def test_moment_tables_overflow_is_named(self):
+        # fulmar's stack overflows from order 114 on; this runs under the
+        # suite's warnings-as-errors, so no numpy overflow warning may escape
+        fulmar = sw.builtin_fulmar_scenario()
+        with pytest.raises(ValueError, match="order 200 overflow"):
+            sw.moment_tables(fulmar.build_schedule(), fulmar.initial, fulmar.target_set(), order=200)
+
+    def test_binomial_shift_against_math_comb(self):
+        from stagedwell.occupancy import _binomial_shift
+        # exact while the weights are integers float64 holds; rounded a little above
+        for order, rows, rel in ((57, range(58), 0.0), (1029, (100, 514, 1000, 1029), 2e-15)):
+            L = _binomial_shift(order)
+            assert np.array_equal(L, np.tril(L, -1))
+            for k in rows:
+                exact = np.array([float(math.comb(k, i)) for i in range(k)])
+                assert_allclose(L[k, :k], exact, rtol=rel, atol=0)
+
     @pytest.mark.parametrize("order", [200, 1100])
     def test_overflowing_order_is_named(self, order):
         # order 200 overflows the moments; order 1100 already its binomial weights
@@ -258,6 +275,84 @@ class TestMoments:
             sw.occupancy_moments(sched, GEOM_V, target, order=0)
         with pytest.raises(ValueError):
             sw.moment_tables(sched, GEOM_V, target, order=-1)
+
+
+def _written_out(schedule, steps):
+    """The same chain with its first `steps` matrices listed and no extension,
+    so that every engine steps it by the recurrence."""
+    return sw.Schedule.explicit(schedule.matrices, [schedule.index_at(n) for n in range(steps)], "error")
+
+
+class TestClosedTail:
+    """Hold-last and cycle schedules are closed where they turn homogeneous;
+    the reference is the recurrence on the tail written out in full."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 15), st.integers(0, 25),
+           st.integers(1, 4), st.sampled_from(["hold_last", "cycle"]),
+           st.sampled_from(["random", "empty", "full"]), st.booleans())
+    def test_matches_the_written_out_recurrence(self, seed, d, prefix, start, order, extension,
+                                                members, zero_held):
+        rng = np.random.default_rng(seed)
+        mats = [random_substochastic(rng, d, high=0.9) for _ in range(3)] + [np.zeros((d, d))]
+        seq = rng.integers(0, 3, size=prefix)
+        if zero_held:
+            seq[-1] = 3
+        sched = sw.Schedule.explicit(mats, seq, extension)
+        v = random_distribution(rng, d)
+        target = {"random": random_target(rng, d), "empty": sw.TargetSet.none(d),
+                  "full": sw.TargetSet.all_states(d)}[members]
+        # mass falls at least 0.9-fold a step: gone to 1e-15 * (t+1)^-4 well within this
+        reference = _written_out(sched, start + 1200)
+
+        closed = sw.occupancy_distribution(sched, v, target, start=start)
+        exact = sw.occupancy_distribution(reference, v, target, start=start, tail_tol=1e-15)
+        assert closed.tail_mass <= sw.DEFAULT_TAIL_TOL
+        assert closed.total() == pytest.approx(1.0, abs=1e-12)
+        for a in set(closed.probs) | set(exact.probs):
+            assert abs(closed.pmf(a) - exact.pmf(a)) <= 1e-12, a
+            assert closed.pmf(a) >= 0.0
+
+        moments = sw.occupancy_moments(sched, v, target, start=start, order=order)
+        expected = sw.occupancy_moments(reference, v, target, start=start, order=order, tail_tol=1e-15)
+        assert moments == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_closed_moments_carry_no_truncation_error(self):
+        # one stage surviving with 1/2: at tail_tol 0.5 the recurrence would
+        # stop after four steps with mean 1.875; the closed tail is exact
+        got = sw.occupancy_moments(sw.Schedule.constant([[0.5]]), [1.0], sw.TargetSet.all_states(1),
+                                   order=2, tail_tol=0.5)
+        assert got == pytest.approx([2.0, 6.0], rel=1e-15)
+
+    @pytest.mark.parametrize("schedule", [
+        sw.Schedule.explicit([[[0.5, 0.0], [0.3, 0.5]], np.eye(2)], [0, 0, 1]),
+        sw.Schedule.periodic([[[0.0, 1.0], [1.0, 0.0]], np.eye(2)], [0, 1]),
+        sw.Schedule.constant([[0.999, 0.0], [0.0, 0.999]]),   # absorbs, but not within 60 steps
+    ], ids=["held identity", "permutation cycle", "slow"])
+    @pytest.mark.parametrize("engine", [sw.occupancy_distribution, sw.occupancy_moments])
+    def test_non_absorbing(self, schedule, engine):
+        with pytest.raises(sw.NonAbsorbingError) as info:
+            engine(schedule, [1.0, 0.0], sw.TargetSet(2, frozenset({0})), max_horizon=60)
+        assert info.value.horizon == 60
+
+    def test_immortal_stage_off_the_path_keeps_the_recurrence(self):
+        # stage 1 never dies but is never entered: I - H is singular, so the
+        # tail is not closed, and the results are the recurrence's bit for bit
+        sched = sw.Schedule.constant([[0.5, 0.0], [0.0, 1.0]])
+        target = sw.TargetSet(2, frozenset({0}))
+        reference = _written_out(sched, 200)
+        assert sw.occupancy_distribution(sched, [1.0, 0.0], target) == \
+            sw.occupancy_distribution(reference, [1.0, 0.0], target)
+        assert sw.occupancy_moments(sched, [1.0, 0.0], target, order=3) == \
+            sw.occupancy_moments(reference, [1.0, 0.0], target, order=3)
+
+    def test_long_cycle_keeps_the_recurrence(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        sched = random_schedule(rng, d=3, length=6, extension="cycle")
+        v, target = random_distribution(rng, 3), sw.TargetSet(3, frozenset({1}))
+        monkeypatch.setattr(sw.occupancy, "MAX_CLOSED_CYCLE_STATES", 17)
+        assert sw.occupancy_distribution(sched, v, target) == \
+            sw.occupancy_distribution(_written_out(sched, 2000), v, target)
 
 
 ENGINES = {

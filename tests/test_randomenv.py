@@ -145,7 +145,10 @@ class TestTwoLevelStats:
         # the seeding contract: sequence i is sample_schedule(spec, length,
         # default_rng((*seed, i))), its moments those of occupancy_moments.
         # Column sums >= 0.2 keep every life past 6 steps at tail_tol 1e-12,
-        # so each sequence reaches its hold-last extension.
+        # so each sequence reaches its hold-last extension. occupancy_moments
+        # would close that extension exactly, so the reference lists it out
+        # for 2000 steps (within 0.95**t) and runs the recurrence, as
+        # two_level_stats does.
         rng = np.random.default_rng(seed)
         mats = tuple(random_substochastic(rng, d) for _ in range(n_cond))
         probs = rng.dirichlet(np.ones(n_cond))
@@ -160,7 +163,8 @@ class TestTwoLevelStats:
         variances = np.empty(n_sequences)
         for i in range(n_sequences):
             sched = sw.sample_schedule(spec, length, np.random.default_rng((*entropy, i)))
-            m1, m2 = sw.occupancy_moments(sched, v, target, start=start, order=2)
+            listed = sw.Schedule(sched.matrices, [sched.index_at(n) for n in range(2000)], "error")
+            m1, m2 = sw.occupancy_moments(listed, v, target, start=start, order=2)
             means[i] = m1
             variances[i] = max(m2 - m1 * m1, 0.0)
         mean = means.mean()
