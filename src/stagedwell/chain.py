@@ -9,6 +9,8 @@ stage probabilities are propagated by left multiplication, w(n+1) = B(n) w(n).
 
 from __future__ import annotations
 
+import copy
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -34,6 +36,9 @@ DEFAULT_MAX_HORIZON = 100_000
 COLUMN_SUM_TOL = 1e-9
 
 EXTENSIONS = ("hold_last", "cycle", "error")
+
+# Prefix entries Schedule.indices converts to Python ints at a time.
+INDEX_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,25 @@ def validate_distribution(raw, d: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_indices(values, what: str) -> np.ndarray:
+    """`values` as an intp array, or ValueError naming the first entry that
+    is not an integer. Integral floats such as 2.0 pass; 0.7 and '1' do not."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.intp)
+    if arr.dtype.kind == "f":
+        ok = np.isfinite(arr) & (arr == np.trunc(arr))
+    else:  # mixed or non-numeric: judge each entry as given, not as numpy coerced it
+        arr = np.asarray(values, dtype=object)
+        ok = np.array([isinstance(x, (int, np.integer))
+                       or isinstance(x, (float, np.floating)) and float(x).is_integer()
+                       for x in arr.flat], dtype=bool).reshape(arr.shape)
+    if not ok.all():
+        bad = arr.flat[np.argmin(ok)]
+        raise ValueError(f"{what} {bad.item() if isinstance(bad, np.generic) else bad!r} is not an integer")
+    return arr.astype(np.intp)
+
+
 def absorption_vector(matrix: np.ndarray) -> np.ndarray:
     """Per-stage one-step absorption probabilities: 1 minus each column sum.
 
@@ -152,7 +176,7 @@ class Schedule:
         d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("all scheduled matrices must share one shape")
-        seq = np.array(self.sequence, dtype=np.intp)
+        seq = _as_indices(self.sequence, "sequence entry")
         if seq.ndim != 1 or seq.size == 0:
             raise ValueError("sequence must be a non-empty 1-d list of matrix indices")
         if seq.min() < 0 or seq.max() >= len(mats):
@@ -203,6 +227,36 @@ class Schedule:
             return int(self.sequence[n % length])
         raise ScheduleExhaustedError(n, length)
 
+    def indices(self, start: int = 0):
+        """Iterator over the matrix indices of steps start, start + 1, ...
+
+        It yields index_at(start), index_at(start + 1), ... and raises what
+        index_at raises at the first step it cannot serve, when that step is
+        drawn: ValueError for a negative start, ScheduleExhaustedError past
+        the end of an "error" schedule. Stepping loops read it instead of
+        calling index_at once per step.
+        """
+        start = int(start)
+        if start < 0:
+            raise ValueError(f"time index must be nonnegative, got {start}")
+        seq, length = self.sequence, self.sequence.size
+        if self.extension == "cycle":
+            yield from itertools.cycle(np.roll(seq, -(start % length)).tolist())
+        for lo in range(start, length, INDEX_CHUNK):
+            yield from seq[lo : lo + INDEX_CHUNK].tolist()
+        if self.extension == "hold_last":
+            yield from itertools.repeat(int(seq[-1]))
+        raise ScheduleExhaustedError(max(start, length), length)
+
+    def _permuted(self, order) -> "Schedule":
+        """This schedule over its stages taken in `order`. The entries and
+        absorption vectors are moved, not recomputed, so the permuted chain
+        is the same chain and is not validated again."""
+        moved = copy.copy(self)
+        moved.__dict__.update(matrices=tuple(m[np.ix_(order, order)] for m in self.matrices),
+                              _absorptions=tuple(b[order] for b in self._absorptions))
+        return moved
+
     def matrix_at(self, n: int) -> np.ndarray:
         return self.matrices[self.index_at(n)]
 
@@ -221,8 +275,8 @@ def transition_operator(schedule: Schedule, n: int, m: int = 0) -> np.ndarray:
     if m < 0 or n < m:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     phi = np.eye(schedule.d)
-    for k in range(m, n):
-        phi = schedule.matrix_at(k) @ phi
+    for k in itertools.islice(schedule.indices(m), n - m):
+        phi = schedule.matrices[k] @ phi
     return phi
 
 
@@ -307,8 +361,10 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=
 
     Step t lifts the state by the engine's pre-transition `lift`, calls
     keep(state, lifted, b) with the absorption vector b of the matrix B
-    acting at time start + t, and moves on to lifted @ B'. Each engine
-    keeps what it needs: the absorption losses lifted @ b, or every state.
+    acting at time start + t, read from schedule.indices(start), and moves
+    on to lifted @ B'. Each engine keeps what it needs: the absorption
+    losses lifted @ b, or every state; `lifted` may be a reused buffer, so
+    keep must not hold on to it.
     The loop stops before step t once mass(state) * (t+1)**order < tail_tol
     (order 0 for the distributions; see moment_tables for why moments
     weight the mass) and raises NonAbsorbingError if that has not happened
@@ -317,8 +373,8 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=
     with the mass still above the rule, for the engine to close the rest.
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    start = int(start)
     transposed = [m.T for m in schedule.matrices]
+    indices = schedule.indices(start)
     stop = max_horizon if until is None else min(until, max_horizon)
     t = 0
     while not _negligible(surviving := float(mass(state)), t, order, tail_tol):
@@ -326,7 +382,7 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=
             if t >= max_horizon:
                 raise NonAbsorbingError(surviving, max_horizon)
             return state, False
-        k = schedule.index_at(start + t)
+        k = next(indices)
         lifted = lift(state)
         keep(state, lifted, schedule._absorptions[k])
         state = lifted @ transposed[k]

@@ -10,7 +10,8 @@ table by
     p(., n+1) = B(n) applied to [ shift-up of the target rows of p(., n)
                                   plus the unshifted non-target rows ]
 
-which is iterated here in vectorized form. Summing absorption losses over
+which is iterated here in vectorized form, with the target stages ordered
+first so that the shift is two block copies. Summing absorption losses over
 time yields the distribution of the lifetime occupancy total, and the same
 transport acting on a stack of weighted tables yields its raw moments
 without ever forming the full distribution.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -32,10 +34,10 @@ from .chain import (
     DiscreteDistribution,
     Schedule,
     StateSpace,
+    _as_indices,
     _check_truncation,
     _negligible,
     _recurrence,
-    absorption_vector,
     validate_distribution,
 )
 from .errors import NegativeVarianceError, NonAbsorbingError
@@ -59,7 +61,7 @@ class TargetSet:
 
     def __post_init__(self):
         d = int(self.d)
-        members = frozenset(int(i) for i in self.members)
+        members = frozenset(_as_indices(list(self.members), "target member").tolist())
         if d < 1:
             raise ValueError("need at least one stage")
         bad = [i for i in members if not 0 <= i < d]
@@ -103,12 +105,26 @@ class OccupancyDistribution(DiscreteDistribution):
     """Distribution of total steps spent in a target set; support starts at 0."""
 
 
-def _transport(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """One occupancy-count update: target mass moves up one row in a."""
-    out = np.zeros((rows.shape[0] + 1, rows.shape[1]))
-    out[:-1] += rows * (1.0 - r)
-    out[1:] += rows * r
-    return out
+def _transport(n_target: int, d: int):
+    """The occupancy-count update of a table whose first n_target stages are
+    the target: a lift moving their mass up one row in a.
+
+    The lift copies into one zero-initialised buffer that grows by doubling
+    and returns a view of it, valid until the next call. Row 0 of the target
+    block and the last row of the rest are never written, so they stay zero.
+    """
+    out = np.zeros((64, d))
+
+    def lift(rows):
+        nonlocal out
+        a = rows.shape[0]
+        if out.shape[0] <= a:
+            out = np.zeros((2 * a, d))
+        out[1 : a + 1, :n_target] = rows[:, :n_target]
+        out[:a, n_target:] = rows[:, n_target:]
+        return out[: a + 1]
+
+    return lift
 
 
 def _occupancy_start(schedule: Schedule, initial, target: TargetSet) -> np.ndarray:
@@ -117,6 +133,19 @@ def _occupancy_start(schedule: Schedule, initial, target: TargetSet) -> np.ndarr
     if target.d != schedule.d:
         raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
     return v[np.newaxis, :]
+
+
+def _target_first(schedule: Schedule, initial, target: TargetSet):
+    """The chain with its target stages first, for _transport.
+
+    Returns (schedule, p(0, start), order): the schedule and initial table
+    over the stages taken in `order`, the target members and then the rest,
+    each in the caller's order. The closed tail does not depend on stage
+    order and runs on this chain unchanged.
+    """
+    rows = _occupancy_start(schedule, initial, target)
+    order = np.argsort(target.mask == 0, kind="stable")
+    return schedule._permuted(order), rows[:, order], order
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,15 +211,17 @@ def evolve_joint(
     below-tolerance table is included); raises NonAbsorbingError if that has
     not happened within max_horizon steps.
     """
-    r = target.mask
+    schedule, rows, order = _target_first(schedule, initial, target)
+    lift = _transport(len(target.members), schedule.d)
+    back = np.argsort(order)
     tables = []
-    final, _ = _recurrence(
-        schedule, _occupancy_start(schedule, initial, target), start, tail_tol, max_horizon,
-        lift=lambda rows: _transport(rows, r), keep=lambda rows, *_: tables.append(rows),
-    )
-    tables.append(final)
-    for tab in tables:
-        tab.flags.writeable = False
+
+    def keep(rows, *_):
+        tables.append(rows[:, back])
+        tables[-1].flags.writeable = False
+
+    final, _ = _recurrence(schedule, rows, start, tail_tol, max_horizon, lift=lift, keep=keep)
+    keep(final)
     return JointOccupancyTable(start=int(start), values=tuple(tables))
 
 
@@ -210,8 +241,9 @@ def _homogeneous_tail(schedule: Schedule, start: int):
         t0, p = max(schedule.prefix_length - 1 - start, 0), 1
     else:
         t0 = p = schedule.prefix_length
-    period = [schedule.matrices[schedule.index_at(start + t0 + m)] for m in range(p)]
-    dies = np.array([absorption_vector(H) > 0 for H in period])   # [m, j]: can die from j at phase m
+    ks = list(itertools.islice(schedule.indices(start + t0), p))
+    period = [schedule.matrices[k] for k in ks]
+    dies = np.array([schedule._absorptions[k] > 0 for k in ks])   # [m, j]: can die from j at phase m
     while True:
         before = dies.copy()
         for m in reversed(range(p)):   # backwards, so one sweep follows a path once round the cycle
@@ -297,7 +329,8 @@ def occupancy_distribution(
     _closed_distribution instead; tail_mass is then the probability of an
     occupancy beyond the last atom, again below tail_tol.
     """
-    r = target.mask
+    schedule, rows, order = _target_first(schedule, initial, target)
+    lift = _transport(len(target.members), schedule.d)
     acc = np.zeros(64)
 
     def keep(rows, moved, b):
@@ -309,15 +342,13 @@ def occupancy_distribution(
     tail = _homogeneous_tail(schedule, start)
     if tail and len(tail[1]) * schedule.d > MAX_CLOSED_CYCLE_STATES:
         tail = None
-    rows, settled = _recurrence(
-        schedule, _occupancy_start(schedule, initial, target), start, tail_tol, max_horizon,
-        lift=lambda rows: _transport(rows, r), keep=keep, until=tail and tail[0],
-    )
+    rows, settled = _recurrence(schedule, rows, start, tail_tol, max_horizon, lift=lift, keep=keep,
+                                until=tail and tail[0])
     if settled:
         atoms, tail_mass = acc[: rows.shape[0]], float(rows.sum())
     else:
         _check_absorbs(tail, rows.sum(axis=0), 0, tail_tol, max_horizon)
-        atoms, tail_mass = _closed_distribution(rows, acc, tail[1], r, tail_tol)
+        atoms, tail_mass = _closed_distribution(rows, acc, tail[1], target.mask[order], tail_tol)
     probs = {a: float(p) for a, p in enumerate(atoms) if p != 0.0}
     return OccupancyDistribution(probs, tail_mass=tail_mass)
 

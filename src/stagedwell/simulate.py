@@ -83,6 +83,7 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
     packed = np.empty(rows.size, dtype=np.int64)
     pos = np.arange(rows.size)
     acc = np.zeros(rows.size, dtype=np.int64)
+    indices = schedule.indices(start)
     step = 0
     while True:
         if step >= step_cap:
@@ -91,7 +92,7 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
             path.append(state)
         u = rng.random(width)[rows]
         acc += inc[state]
-        edges = thresholds[schedule.index_at(start + step)].take(state, axis=0)
+        edges = thresholds[next(indices)].take(state, axis=0)
         state = (u[:, None] >= edges).argmin(axis=1)  # first i with u < edge
         step += 1
         live = state < d

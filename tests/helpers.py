@@ -24,6 +24,13 @@ def random_schedule(rng, d, n_matrices=3, length=50, extension="hold_last",
     return sw.Schedule.explicit(mats, seq, extension)
 
 
+def listed_steps(schedule, start, steps):
+    """Steps start .. start + steps - 1 of `schedule`, listed from step 0 with
+    no extension, as index_at gives them."""
+    return sw.Schedule.explicit(schedule.matrices, [schedule.index_at(n) for n in range(start, start + steps)],
+                                "error")
+
+
 def random_target(rng, d):
     members = [i for i in range(d) if rng.random() < 0.5]
     return sw.TargetSet(d, frozenset(members))

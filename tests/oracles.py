@@ -46,6 +46,33 @@ def brute_force_joint(matrices, v, target_indices, horizon):
     return dict(joint)
 
 
+def brute_force_alive(matrices, v, target_indices, n):
+    """Exhaustive path sum for the table at time n: dict (occupancy, stage)
+    -> probability of being alive in `stage` at time n, having spent
+    `occupancy` of the steps 0 .. n-1 in the target stages.
+
+    `matrices` drive steps 0 .. n-1 (column convention, plain nested
+    sequences). Cost is O(d^n): keep d <= 3 and n <= 8.
+    """
+    d = len(v)
+    members = set(target_indices)
+    alive = defaultdict(float)
+
+    def walk(t, j, prob, occ):
+        if prob == 0.0:
+            return
+        if t == n:
+            alive[(occ, j)] += prob
+            return
+        occ += j in members
+        for i in range(d):
+            walk(t + 1, i, prob * matrices[t][i][j], occ)
+
+    for j in range(d):
+        walk(0, j, float(v[j]), 0)
+    return dict(alive)
+
+
 def brute_force_occupancy(matrices, v, target_indices, horizon):
     """Occupancy marginal of brute_force_joint: dict a -> probability."""
     occ = defaultdict(float)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
-from helpers import random_distribution, random_schedule, random_substochastic
+from helpers import listed_steps, random_distribution, random_schedule, random_substochastic
 from oracles import phase_type_pmf
 
 U_F = (
@@ -158,6 +158,47 @@ class TestSchedule:
                 s.absorption_at(n), sw.absorption_vector(s.matrix_at(n)), rtol=0, atol=0
             )
 
+    @pytest.mark.parametrize("sequence, named", [([0.7, 1.9], "0.7"), (["1", "0"], "'1'"),
+                                                  ([0, 1.5], "1.5"), ([0, None], "None")])
+    def test_rejects_non_integral_entries(self, sequence, named):
+        with pytest.raises(ValueError, match=f"sequence entry {named} is not an integer"):
+            sw.Schedule.explicit([[[0.2]], [[0.7]]], sequence)
+
+    def test_accepts_integral_floats_and_numpy_integers(self):
+        for sequence in ([0.0, 1.0], np.array([0, 1], dtype=np.int64), [np.int32(0), 1]):
+            s = sw.Schedule.explicit([[[0.2]], [[0.7]]], sequence)
+            assert s.sequence.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("extension", ["hold_last", "cycle", "error"])
+    @pytest.mark.parametrize("start", [0, 2, 3, 6, 7, 20])
+    def test_indices_follow_index_at(self, extension, start):
+        s = sw.Schedule.explicit([[[0.2]], [[0.7]], [[0.5]]], [2, 0, 1], extension)
+        expected = []
+        for n in range(start, start + 12):
+            try:
+                expected.append(s.index_at(n))
+            except sw.ScheduleExhaustedError:
+                break
+        stream = s.indices(start)
+        assert [next(stream) for _ in expected] == expected
+        if extension == "error":
+            with pytest.raises(sw.ScheduleExhaustedError) as drawn:
+                next(stream)
+            with pytest.raises(sw.ScheduleExhaustedError) as direct:
+                s.index_at(max(start, 3))
+            assert str(drawn.value) == str(direct.value)
+
+    def test_indices_reject_a_negative_start_when_drawn(self):
+        stream = sw.Schedule.constant([[0.5]]).indices(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(stream)
+
+    def test_indices_cross_chunk_boundaries(self):
+        rng = np.random.default_rng(2)
+        s = sw.Schedule.explicit([[[0.2]], [[0.7]]], rng.integers(0, 2, 2500))
+        stream = s.indices(1000)
+        assert [next(stream) for _ in range(1600)] == [s.index_at(n) for n in range(1000, 2600)]
+
     def test_validates_matrices_on_construction(self):
         with pytest.raises(sw.ColumnSumError):
             sw.Schedule.constant([[0.6, 0.0], [0.5, 0.2]])
@@ -274,6 +315,42 @@ class TestLifetimeDistribution:
             sw.lifetime_distribution(s, [1.0], tail_tol=0.0)
         with pytest.raises(ValueError):
             sw.lifetime_distribution(s, [1.0], max_horizon=0)
+
+
+class TestIndexStream:
+    """The driver reads a schedule from any start exactly as index_at lists it."""
+
+    @pytest.mark.parametrize("extension, start", [
+        ("cycle", 7), ("cycle", 6), ("cycle", 3), ("hold_last", 10), ("hold_last", 2),
+    ])
+    def test_engines_from_a_late_start(self, extension, start):
+        rng = np.random.default_rng(start)
+        s = random_schedule(rng, d=3, n_matrices=3, length=3, extension=extension, high=0.9)
+        v = random_distribution(rng, 3)
+        target = sw.TargetSet(3, frozenset({0, 2}))
+        flat = listed_steps(s, start, 3000)
+        got, want = sw.lifetime_distribution(s, v, start=start), sw.lifetime_distribution(flat, v)
+        assert got.probs == want.probs and got.tail_mass == want.tail_mass
+        np.testing.assert_array_equal(sw.moment_tables(s, v, target, start=start, order=2).values,
+                                      sw.moment_tables(flat, v, target, order=2).values)
+        for a, b in zip(sw.evolve_joint(s, v, target, start=start).values,
+                        sw.evolve_joint(flat, v, target).values, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("start", [1, 4, 9])
+    def test_error_schedule_raises_what_index_at_raises(self, start):
+        s = sw.Schedule.explicit([[[0.9]]], [0, 0, 0, 0], extension="error")
+        with pytest.raises(sw.ScheduleExhaustedError) as direct:
+            s.index_at(max(start, 4))
+        target = sw.TargetSet(1, frozenset({0}))
+        for engine in (lambda: sw.lifetime_distribution(s, [1.0], start=start),
+                       lambda: sw.occupancy_distribution(s, [1.0], target, start=start),
+                       lambda: sw.occupancy_moments(s, [1.0], target, start=start),
+                       lambda: sw.evolve_joint(s, [1.0], target, start=start),
+                       lambda: sw.transition_operator(s, start + 5, start)):
+            with pytest.raises(sw.ScheduleExhaustedError) as drawn:
+                engine()
+            assert str(drawn.value) == str(direct.value)
 
 
 class TestStateSpace:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import stagedwell as sw
 from helpers import random_distribution, random_schedule, random_substochastic, random_target
-from oracles import brute_force_moment, brute_force_occupancy
+from oracles import brute_force_alive, brute_force_moment, brute_force_occupancy
 
 # Two-stage chain where stage 1 is the target: from stage 0 move to 1 or die
 # (half/half), from stage 1 stay or die. tau is 0 with prob 1/2 and
@@ -40,6 +41,14 @@ class TestTargetSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             sw.TargetSet(2, frozenset({2}))
+
+    @pytest.mark.parametrize("member, named", [(1.7, "1.7"), ("1", "'1'"), (None, "None")])
+    def test_rejects_non_integral_members(self, member, named):
+        with pytest.raises(ValueError, match=f"target member {named} is not an integer"):
+            sw.TargetSet(3, {0, member})
+
+    def test_accepts_integral_floats_and_numpy_integers(self):
+        assert sw.TargetSet(3, {2.0, np.int64(0)}).members == frozenset({0, 2})
 
     def test_none_and_all(self):
         assert sw.TargetSet.none(3).members == frozenset()
@@ -99,6 +108,22 @@ class TestEvolveJoint:
         with pytest.raises(sw.NonAbsorbingError):
             sw.evolve_joint(sched, [1.0, 0.0], sw.TargetSet.none(2), max_horizon=50)
 
+    @pytest.mark.parametrize("members", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)],
+                             ids=lambda m: "".join(map(str, m)) or "none")
+    def test_matches_brute_force_entry_by_entry(self, members):
+        # the tables come back in the caller's stage order whichever stages
+        # are counted, however the transport orders them internally
+        rng = np.random.default_rng(41)
+        sched = random_schedule(rng, d=3, n_matrices=3, length=5, high=0.9)
+        v = random_distribution(rng, 3)
+        table = sw.evolve_joint(sched, v, sw.TargetSet(3, frozenset(members)), start=1)
+        for n in range(7):
+            alive = brute_force_alive([sched.matrix_at(1 + t).tolist() for t in range(n)], v, members, n)
+            for a in range(n + 1):
+                for j in range(3):
+                    assert table.joint(a, 1 + n)[j] == pytest.approx(alive.get((a, j), 0.0), rel=0, abs=1e-15), \
+                        (members, n, a, j)
+
 
 class TestOccupancyDistribution:
     def test_empty_target_is_point_mass_at_zero(self):
@@ -137,13 +162,14 @@ class TestOccupancyDistribution:
                     (rng.uniform(0.05, 1.0, (d, d)) for _ in range(horizon))]
             mats = [m / m.sum(axis=0) * rng.uniform(0.3, 0.9, d) for m in mats]
             v = random_distribution(rng, d)
-            members = frozenset(int(i) for i in range(d) if rng.random() < 0.5)
             # force absorption at the horizon with a zero matrix held forever
             sched = sw.Schedule.explicit(mats + [np.zeros((d, d))], list(range(horizon + 1)))
-            dist = sw.occupancy_distribution(sched, v, sw.TargetSet(d, members))
-            expected = brute_force_occupancy([m.tolist() for m in mats], v, members, horizon)
-            for a, p in expected.items():
-                assert dist.pmf(a) == pytest.approx(p, rel=0, abs=1e-12), (a, d, horizon)
+            for members in itertools.chain.from_iterable(
+                    itertools.combinations(range(d), k) for k in range(d + 1)):
+                dist = sw.occupancy_distribution(sched, v, sw.TargetSet(d, frozenset(members)))
+                expected = brute_force_occupancy([m.tolist() for m in mats], v, members, horizon)
+                for a, p in expected.items():
+                    assert dist.pmf(a) == pytest.approx(p, rel=0, abs=1e-12), (a, d, horizon, members)
 
     def test_start_offset(self):
         rng = np.random.default_rng(4)

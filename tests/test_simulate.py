@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stagedwell as sw
-from helpers import random_distribution, random_schedule, random_target
+from helpers import listed_steps, random_distribution, random_schedule, random_target
 
 GEOM_B = ((0.0, 0.0), (0.5, 0.5))
 
@@ -92,6 +92,43 @@ class TestSimulateTrajectory:
             ref = np.random.default_rng(seed)
             ref.random(out.lifetime + 1)
             assert gen.random() == ref.random()
+
+
+class TestIndexStream:
+    """Lives read a schedule from any start exactly as index_at lists it."""
+
+    @pytest.mark.parametrize("extension, start", [
+        ("cycle", 7), ("cycle", 6), ("cycle", 3), ("hold_last", 10), ("hold_last", 2),
+    ])
+    def test_late_start_matches_the_listed_steps(self, extension, start):
+        rng = np.random.default_rng(start)
+        sched = random_schedule(rng, d=3, n_matrices=3, length=3, extension=extension, low=0.7, high=0.9)
+        v = random_distribution(rng, 3)
+        target = sw.TargetSet(3, frozenset({1}))
+        listed = listed_steps(sched, start, 400)
+        for seed in range(5):
+            assert (sw.simulate_trajectory(sched, v, target, np.random.default_rng(seed), start=start,
+                                           record_path=True)
+                    == sw.simulate_trajectory(listed, v, target, np.random.default_rng(seed),
+                                              record_path=True))
+        assert (sw.empirical_distribution(sched, v, target, 1500, seed=4, start=start)
+                == sw.empirical_distribution(listed, v, target, 1500, seed=4))
+
+    @pytest.mark.parametrize("start", [1, 4, 9])
+    def test_error_schedule_raises_what_index_at_raises(self, start):
+        sched = sw.Schedule.explicit([[[0.9]]], [0, 0, 0, 0], extension="error")
+        with pytest.raises(sw.ScheduleExhaustedError) as direct:
+            sched.index_at(max(start, 4))
+        target = sw.TargetSet(1, frozenset({0}))
+        with pytest.raises(sw.ScheduleExhaustedError) as drawn:
+            sw.empirical_distribution(sched, [1.0], target, 50, start=start)
+        assert str(drawn.value) == str(direct.value)
+
+    def test_step_cap_comes_before_any_index(self):
+        sched = sw.Schedule.explicit([[[0.9]]], [0], extension="error")
+        with pytest.raises(sw.NonTerminatingError):
+            sw.simulate_trajectory(sched, [1.0], sw.TargetSet(1, frozenset()), np.random.default_rng(0),
+                                   start=-1, step_cap=0)
 
 
 class TestEmpiricalDistribution:
