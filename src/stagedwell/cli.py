@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -232,7 +233,11 @@ def cmd_env_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: building it costs
+    more than a small analysis, and main reuses it on every call. Parsing
+    leaves it unchanged; callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="stagedwell",
         description="Lifetime and occupancy-time statistics for stage-structured models",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -35,12 +34,16 @@ from .chain import (
     Schedule,
     StateSpace,
     _as_indices,
-    _check_truncation,
-    _negligible,
+    _check_absorbs,
+    _first_negligible,
+    _homogeneous_tail,
     _recurrence,
+    _segment_tail,
+    _segment_tail_of,
+    _tail_states,
     validate_distribution,
 )
-from .errors import NegativeVarianceError, NonAbsorbingError
+from .errors import NegativeVarianceError
 
 # Roundoff allowance when deciding that a variance is genuinely negative
 # rather than a victim of cancellation between nearly equal moments.
@@ -225,51 +228,6 @@ def evolve_joint(
     return JointOccupancyTable(start=int(start), values=tuple(tables))
 
 
-def _homogeneous_tail(schedule: Schedule, start: int):
-    """(t0, period): from step t0 after `start` on, `period` repeats forever.
-
-    A hold-last (or constant) schedule holds its last matrix from step
-    prefix_length - 1 - start; a cycle is taken from one period after
-    `start`, at phase start mod p. None when there is no such tail to close:
-    for an "error" schedule, and for a repeating chain some stage of which
-    cannot reach absorption at some phase, where no fundamental matrix exists.
-    """
-    start = int(start)
-    if schedule.extension == "error" or start < 0:
-        return None
-    if schedule.extension == "hold_last":
-        t0, p = max(schedule.prefix_length - 1 - start, 0), 1
-    else:
-        t0 = p = schedule.prefix_length
-    ks = list(itertools.islice(schedule.indices(start + t0), p))
-    period = [schedule.matrices[k] for k in ks]
-    dies = np.array([schedule._absorptions[k] > 0 for k in ks])   # [m, j]: can die from j at phase m
-    while True:
-        before = dies.copy()
-        for m in reversed(range(p)):   # backwards, so one sweep follows a path once round the cycle
-            dies[m] |= (period[m] > 0).T @ dies[(m + 1) % p]
-        if (dies == before).all():
-            return (t0, period) if dies.all() else None
-
-
-def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
-    """Raise NonAbsorbingError as the recurrence would: if the mass of stage
-    vector x at step t0 of tail = (t0, period), carried on by the repeating
-    period to step max_horizon (by squaring the period product), is not
-    negligible there."""
-    (t0, period), (tail_tol, max_horizon) = tail, _check_truncation(tail_tol, max_horizon)
-    q, rest = divmod(max_horizon - t0, len(period))
-    product = functools.reduce(lambda acc, H: H @ acc, period)
-    while q:
-        if q & 1:
-            x = product @ x
-        product, q = product @ product, q >> 1
-    for H in period[:rest]:
-        x = H @ x
-    if not _negligible(mass := float(x.sum()), max_horizon, order, tail_tol):
-        raise NonAbsorbingError(mass, max_horizon)
-
-
 def _closed_distribution(rows, atoms, period, r, tail_tol):
     """Occupancy atoms and tail_mass of table `rows` (p(a, j) at the first
     step of the repeating `period`) plus the `atoms` lost before it.
@@ -281,7 +239,9 @@ def _closed_distribution(rows, atoms, period, r, tail_tol):
     s = 1 - 1'Q is the chance of none after a visit. The table, moved to its
     next visit, is convolved directly (no FFT, so atoms stay nonnegative)
     with the visit pmf s' Q^(k-1), k = 1, 2, ..., until the mass still to
-    visit, the returned tail_mass, falls below tail_tol.
+    visit, the returned tail_mass, falls below tail_tol. Both power series,
+    the mass still to visit (Q^k applied to the waiting mass) and the visit
+    pmf, are summed by _segment_tail.
     """
     p, d = len(period), r.size
     G = np.zeros((p, d, p, d))
@@ -297,15 +257,13 @@ def _closed_distribution(rows, atoms, period, r, tail_tol):
     Y = rows[:, n0] @ E.T
     Y[:, :r0.size] += rows[:, r0]
     out = atoms[: rows.shape[0]] + rows[:, n0] @ np.maximum(1.0 - E.sum(axis=0), 0.0)
-    pmf, visit, waiting = [], np.maximum(1.0 - Q.sum(axis=0), 0.0), Y.sum(axis=0)
-    while (tail := float(waiting.sum())) >= tail_tol:
-        pmf.append(visit)
-        visit, waiting = visit @ Q, Q @ waiting
-    out = np.concatenate([out, np.zeros(len(pmf))])
-    if pmf:
-        pmf = np.array(pmf)
-        out[1:] += sum(np.convolve(Y[:, i], pmf[:, i]) for i in range(R.size))
-    return out, tail
+    waiting, K = _segment_tail(Y.sum(axis=0), 1, lambda X, _: X @ Q.T, sys.maxsize,
+                               lambda rows, k: _first_negligible(rows.sum(axis=1), k, 0, tail_tol))
+    out = np.concatenate([out, np.zeros(K)])
+    if K:
+        pmf, _ = _segment_tail(np.maximum(1.0 - Q.sum(axis=0), 0.0), 1, lambda X, _: X @ Q, K - 1)
+        out[1:] += sum(np.convolve(Y[:, i], pmf[:K, i]) for i in range(R.size))
+    return out, float(waiting[K].sum())
 
 
 def occupancy_distribution(
@@ -369,15 +327,19 @@ def _binomial_shift(order: int) -> np.ndarray:
     return np.tril(pascal, -1)
 
 
+def _moment_lift(order: int, target: TargetSet):
+    """The lift A = M + (L @ M) * r of a moment stack M, or of a batch of them."""
+    shift, r = _binomial_shift(order), target.mask
+    return lambda M: M + (shift @ M) * r
+
+
 def _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep, until=None):
     """Run the moment stack M, row k holding m_k(n), from M[0] = initial,
-    with A = M + (L @ M) * r lifting M before each transition."""
+    with _moment_lift lifting M before each transition."""
     M = np.zeros((order + 1, schedule.d))
     M[0] = _occupancy_start(schedule, initial, target)[0]
-    shift = _binomial_shift(order)
-    r = target.mask
     return _recurrence(schedule, M, start, tail_tol, max_horizon, order=order, keep=keep, until=until,
-                       lift=lambda M: M + (shift @ M) * r, mass=lambda M: M[0].sum())
+                       lift=_moment_lift(order, target), mass=lambda M: M[0].sum())
 
 
 def _closed_moments(M, period, r):
@@ -461,15 +423,27 @@ def moment_tables(
     tail_tol, not just the mass alone. The neglected contribution to every
     reported moment is then of order tail_tol rather than
     tail_tol * horizon^order.
+
+    A hold-last or cycle schedule whose weighted mass is not yet negligible
+    where it becomes homogeneous (see _homogeneous_tail) is stepped from
+    there by segments (chain._tail_states), to the same horizon and with the
+    same errors; the stacks before it and after it fill one array.
     """
     order = int(order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     stack = []
+    tail = _segment_tail_of(schedule, start, (order + 1) * schedule.d)
     with _overflow_named(order):
-        final, _ = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
-                                      keep=lambda M, *_: stack.append(M))
-    values = np.array(stack + [final])
+        final, settled = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
+                                            keep=lambda M, *_: stack.append(M), until=tail and tail[0])
+        if settled:
+            values = np.array(stack + [final])
+        else:
+            values = _tail_states(tail, final, _moment_lift(order, target), order, tail_tol, max_horizon,
+                                  head=len(stack))
+            if stack:
+                np.stack(stack, out=values[: len(stack)])
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
 

@@ -24,11 +24,11 @@ def random_schedule(rng, d, n_matrices=3, length=50, extension="hold_last",
     return sw.Schedule.explicit(mats, seq, extension)
 
 
-def listed_steps(schedule, start, steps):
-    """Steps start .. start + steps - 1 of `schedule`, listed from step 0 with
-    no extension, as index_at gives them."""
+def listed_steps(schedule, start, steps, extension="error"):
+    """Steps start .. start + steps - 1 of `schedule`, listed from step 0 as
+    index_at gives them and extended by `extension` (by default, not at all)."""
     return sw.Schedule.explicit(schedule.matrices, [schedule.index_at(n) for n in range(start, start + steps)],
-                                "error")
+                                extension)
 
 
 def random_target(rng, d):

@@ -3,7 +3,9 @@
 These deliberately avoid the package's recurrences. The brute-force oracle
 sums over every individual path of the chain in pure Python; the phase-type
 oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers; the
-mean oracles close an infinite horizon with a fundamental matrix (I - G)^-1.
+mean oracles close an infinite horizon with a fundamental matrix (I - G)^-1;
+the moment-table oracle carries the whole occupancy table p(a, j) forward
+and weights it by a^k, instead of stacking the moments.
 """
 
 from collections import defaultdict
@@ -94,6 +96,46 @@ def phase_type_pmf(B, v, n_max):
     return np.array([
         float(b @ np.linalg.matrix_power(B, n - 1) @ v) for n in range(1, n_max + 1)
     ])
+
+
+def periodic_phase_type_pmf(period, v, n_max):
+    """P{lifetime = n} for n = 1 .. n_max when the `period` matrices repeat
+    forever from v: b_m' B_(s-1) ... B_0 Pi^q v for n - 1 = q p + s, m = s,
+    with Pi = B_(p-1) ... B_0 raised to q by matrix powers."""
+    period = [np.asarray(B, dtype=float) for B in period]
+    p = len(period)
+    product = np.linalg.multi_dot(period[::-1]) if p > 1 else period[0]
+    pmf = []
+    for n in range(1, n_max + 1):
+        q, s = divmod(n - 1, p)
+        x = np.linalg.matrix_power(product, q) @ np.asarray(v, dtype=float)
+        for B in period[:s]:
+            x = B @ x
+        pmf.append(float((1.0 - period[s].sum(axis=0)) @ x))
+    return np.array(pmf)
+
+
+def forward_moment_table(matrices, v, target_indices, order, steps):
+    """[t, k, j] = E[a^k; alive in stage j at time t] for t = 0 .. steps, k =
+    0 .. order, a counting the steps before t spent in the target stages.
+
+    Carries the full table p(a, j) forward, matrices[t] acting at step t
+    (column convention), and sums a^k p(a, j) over a at each time.
+    """
+    v = np.asarray(v, dtype=float)
+    r = np.zeros(v.size)
+    r[list(target_indices)] = 1.0
+    table = v[np.newaxis, :]
+    out = []
+    for t in range(steps + 1):
+        a = np.arange(table.shape[0], dtype=float)
+        out.append([(a ** k) @ table for k in range(order + 1)])
+        if t < steps:
+            moved = np.zeros((table.shape[0] + 1, v.size))
+            moved[:-1] += table * (1.0 - r)
+            moved[1:] += table * r
+            table = moved @ np.asarray(matrices[t], dtype=float).T
+    return np.array(out)
 
 
 def hold_last_mean(prefix, held, v, w):

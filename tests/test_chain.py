@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 import stagedwell as sw
 from helpers import listed_steps, random_distribution, random_schedule, random_substochastic
-from oracles import phase_type_pmf
+from oracles import periodic_phase_type_pmf, phase_type_pmf
 
 U_F = (
     (0.828, 0.0, 0.0, 0.0),
@@ -309,6 +309,20 @@ class TestLifetimeDistribution:
         for n in range(1, dist.max_support() + 1):
             assert dist.pmf(n) == pytest.approx(direct[n - 1], rel=0, abs=1e-13)
 
+    @pytest.mark.parametrize("p, start", [(1, 0), (5, 3), (70, 0), (3, 11)])
+    def test_cycle_matches_phase_type_powering(self, p, start):
+        # the tail after the first period is evaluated by segments, here
+        # several of them whether a period divides the segment length or not
+        rng = np.random.default_rng(10 * p + start)
+        period = [random_substochastic(rng, 3, low=0.85, high=0.95) for _ in range(p)]
+        v = random_distribution(rng, 3)
+        dist = sw.lifetime_distribution(sw.Schedule.periodic(period, range(p)), v, start=start)
+        assert dist.max_support() > p + 2 * max(p, sw.chain.SEGMENT)   # three segments or more
+        rotated = period[start % p:] + period[: start % p]
+        direct = periodic_phase_type_pmf(rotated, v, dist.max_support())
+        assert_allclose(dist.to_array()[1:], direct, rtol=1e-11, atol=0)
+        assert dist.tail_mass < sw.DEFAULT_TAIL_TOL <= dist.tail_mass + direct[-1]
+
     def test_rejects_bad_truncation_controls(self):
         s = sw.Schedule.constant([[0.5]])
         with pytest.raises(ValueError):
@@ -329,10 +343,24 @@ class TestIndexStream:
         v = random_distribution(rng, 3)
         target = sw.TargetSet(3, frozenset({0, 2}))
         flat = listed_steps(s, start, 3000)
-        got, want = sw.lifetime_distribution(s, v, start=start), sw.lifetime_distribution(flat, v)
+        # lifetimes and tables close the tail by segments: to the bit, the
+        # same steps listed from `start` take the same closing path (the
+        # rest of the prefix held, or the period rotated to `start`), and
+        # the fully listed steps, stepped one by one, agree to rounding
+        rest = 3 if extension == "cycle" else max(3 - start, 1)
+        same_path = listed_steps(s, start, rest, extension)
+        got = sw.lifetime_distribution(s, v, start=start)
+        want = sw.lifetime_distribution(same_path, v)
         assert got.probs == want.probs and got.tail_mass == want.tail_mass
-        np.testing.assert_array_equal(sw.moment_tables(s, v, target, start=start, order=2).values,
-                                      sw.moment_tables(flat, v, target, order=2).values)
+        stepped = sw.lifetime_distribution(flat, v)
+        assert got.support() == stepped.support()
+        assert_allclose(list(got.probs.values()), list(stepped.probs.values()), rtol=1e-12, atol=0)
+        assert got.tail_mass == pytest.approx(stepped.tail_mass, rel=1e-12, abs=0)
+        tables = sw.moment_tables(s, v, target, start=start, order=2).values
+        np.testing.assert_array_equal(tables, sw.moment_tables(same_path, v, target, order=2).values)
+        stepped = sw.moment_tables(flat, v, target, order=2).values
+        assert tables.shape == stepped.shape
+        assert_allclose(tables, stepped, rtol=1e-12, atol=0)
         for a, b in zip(sw.evolve_joint(s, v, target, start=start).values,
                         sw.evolve_joint(flat, v, target).values, strict=True):
             np.testing.assert_array_equal(a, b)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stagedwell as sw
-from stagedwell.cli import main
+from stagedwell.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -42,6 +42,30 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; later calls behave as fresh ones."""
+
+    def test_repeated_calls_match_fresh_ones(self, capsys, geometric_path):
+        calls = [["moments", "--scenario", geometric_path, "--order", "3"],
+                 ["occupancy", "--scenario", "builtin:fulmar", "--format", "json"],
+                 ["lifetime", "--scenario", geometric_path + ".missing"]]
+
+        def fresh(argv):
+            build_parser.cache_clear()
+            return run(capsys, argv)
+
+        expected = [fresh(argv) for argv in calls]
+        assert [code for code, *_ in expected] == [0, 0, 1]
+        assert [run(capsys, argv) for argv in calls] == expected
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as info:
+            main(["moments", "--scenario", geometric_path, "--order", "0"])
+        assert info.value.code == 2
+        assert "--order" in capsys.readouterr().err
+        assert [run(capsys, argv) for argv in calls] == expected
+        assert [fresh(argv) for argv in calls] == expected
 
 
 class TestValidate:

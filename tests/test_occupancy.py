@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import stagedwell as sw
 from helpers import random_distribution, random_schedule, random_substochastic, random_target
-from oracles import brute_force_alive, brute_force_moment, brute_force_occupancy
+from oracles import brute_force_alive, brute_force_moment, brute_force_occupancy, forward_moment_table
 
 # Two-stage chain where stage 1 is the target: from stage 0 move to 1 or die
 # (half/half), from stage 1 stay or die. tau is 0 with prob 1/2 and
@@ -355,10 +355,11 @@ class TestClosedTail:
         sw.Schedule.periodic([[[0.0, 1.0], [1.0, 0.0]], np.eye(2)], [0, 1]),
         sw.Schedule.constant([[0.999, 0.0], [0.0, 0.999]]),   # absorbs, but not within 60 steps
     ], ids=["held identity", "permutation cycle", "slow"])
-    @pytest.mark.parametrize("engine", [sw.occupancy_distribution, sw.occupancy_moments])
+    @pytest.mark.parametrize("engine", ["occupancy_distribution", "occupancy_moments", "lifetime_distribution",
+                                        "moment_tables"])
     def test_non_absorbing(self, schedule, engine):
         with pytest.raises(sw.NonAbsorbingError) as info:
-            engine(schedule, [1.0, 0.0], sw.TargetSet(2, frozenset({0})), max_horizon=60)
+            ENGINES[engine](schedule, [1.0, 0.0], sw.TargetSet(2, frozenset({0})), max_horizon=60)
         assert info.value.horizon == 60
 
     def test_immortal_stage_off_the_path_keeps_the_recurrence(self):
@@ -379,6 +380,49 @@ class TestClosedTail:
         monkeypatch.setattr(sw.occupancy, "MAX_CLOSED_CYCLE_STATES", 17)
         assert sw.occupancy_distribution(sched, v, target) == \
             sw.occupancy_distribution(_written_out(sched, 2000), v, target)
+
+    @pytest.mark.parametrize("extension, length, start", [
+        ("hold_last", 1, 0), ("hold_last", 4, 9), ("cycle", 1, 0), ("cycle", 5, 2), ("cycle", 70, 0),
+        ("cycle", 3, 13),
+    ])
+    def test_moment_tables_match_the_forward_table(self, extension, length, start):
+        # the tail is evaluated by segments: one step or a period dividing
+        # the segment length or not, a period longer than one, and a start
+        # past the prefix; every kept step is checked
+        rng = np.random.default_rng(100 * length + start)
+        sched = random_schedule(rng, d=3, n_matrices=4, length=length, extension=extension, low=0.8, high=0.92)
+        v = random_distribution(rng, 3)
+        table = sw.moment_tables(sched, v, sw.TargetSet(3, frozenset({0, 2})), start=start, order=3)
+        assert table.horizon > length + 3 * max(length, sw.chain.SEGMENT)
+        expected = forward_moment_table([sched.matrix_at(start + t) for t in range(table.horizon)], v, (0, 2),
+                                        3, table.horizon)
+        assert_allclose(table.values, expected, rtol=1e-10, atol=0)
+        weighted = table.values[:, 0].sum(axis=1) * (np.arange(table.horizon + 1) + 1.0) ** 3
+        assert weighted[-1] < sw.DEFAULT_TAIL_TOL <= weighted[:-1].min()
+
+    def test_above_the_segment_cap_keeps_the_recurrence(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        sched = random_schedule(rng, d=3, length=4, extension="cycle")
+        v, target = random_distribution(rng, 3), sw.TargetSet(3, frozenset({0}))
+        closed = sw.occupancy_distribution(sched, v, target)
+        monkeypatch.setattr(sw.chain, "MAX_SEGMENT_STATES", 2)
+        reference = _written_out(sched, 3000)
+        assert sw.lifetime_distribution(sched, v) == sw.lifetime_distribution(reference, v)
+        np.testing.assert_array_equal(sw.moment_tables(sched, v, target, order=3).values,
+                                      sw.moment_tables(reference, v, target, order=3).values)
+        # the visit series, over 4 phase x target states, now takes one-step segments
+        stepped = sw.occupancy_distribution(sched, v, target)
+        assert stepped.support() == closed.support()
+        assert_allclose(list(stepped.probs.values()), list(closed.probs.values()), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("extension", ["hold_last", "cycle"])
+    def test_empty_target_closes_with_an_empty_visit_series(self, extension):
+        # no target stage: the censored visit chain has no states at all
+        rng = np.random.default_rng(12)
+        sched = random_schedule(rng, d=3, length=5, extension=extension)
+        dist = sw.occupancy_distribution(sched, random_distribution(rng, 3), sw.TargetSet.none(3))
+        assert dist.support() == [0] and dist.tail_mass == 0.0
+        assert dist.pmf(0) == pytest.approx(1.0, rel=1e-12)
 
 
 ENGINES = {
