@@ -447,44 +447,41 @@ def _homogeneous_tail(schedule: Schedule, start: int):
             return (t0, period) if dies.all() else None
 
 
-def _segment_tail_of(schedule: Schedule, start: int, states: int):
-    """_homogeneous_tail, for an engine whose state has `states` entries:
-    None above MAX_SEGMENT_STATES, where the engine keeps the recurrence."""
-    return _homogeneous_tail(schedule, start) if states <= MAX_SEGMENT_STATES else None
+def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
+    """Raise NonAbsorbingError as the recurrence would: if the stopping rule
+    holds at no step from t0 of tail = (t0, period), where the stage vector
+    is x, to max_horizon.
 
-
-def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> int:
-    """Raise NonAbsorbingError as the recurrence would: if the mass of stage
-    vector x at step t0 of tail = (t0, period), carried on by the repeating
-    period to step max_horizon (by squaring the period product), is not
-    negligible there.
-
-    The mass of x times the largest column sum of the powered product
-    bounds the mass left after that many periods. The squaring stops once
-    the bound passes the rule at max_horizon, before the entries reach
-    float64's subnormal range, where a squaring is a hundred times slower.
-    Returns the steps after t0 within which the rule holds: the first power
-    of two periods where the bound passes it (with 1e-9 to spare for
-    rounding), or max_horizon - t0."""
+    The period product is squared to carry x to max_horizon. The mass of x
+    times the largest column sum of the powered product bounds the mass left
+    after that many periods, and the squaring stops once the bound passes
+    the rule at max_horizon, before the entries reach float64's subnormal
+    range, where a squaring is a hundred times slower. A mass of tail_tol or
+    more at max_horizon passes the rule at no earlier step, since the mass
+    never rises. A smaller one may, if a moment order's weighted mass fell
+    below tail_tol and rose again, so the steps are then followed one at a
+    time."""
     (t0, period), (tail_tol, max_horizon) = tail, _check_truncation(tail_tol, max_horizon)
     q, rest = divmod(max_horizon - t0, len(period))
     product = functools.reduce(lambda acc, H: H @ acc, period)
-    mass, span, within = float(x.sum()), len(period), max_horizon - t0
+    y = x
     while q:
-        bound = float(product.sum(axis=0).max())   # product is the period product to the power span / p
-        if bound <= 1.0:
-            if span < within and _negligible(mass * bound * (1.0 + 1e-9), t0 + span, order, tail_tol):
-                within = span
-            if _negligible(float(x.sum()) * bound, max_horizon, order, tail_tol):
-                return within
+        bound = float(product.sum(axis=0).max())   # product is a power of the period product
+        if bound <= 1.0 and _negligible(float(y.sum()) * bound, max_horizon, order, tail_tol):
+            return
         if q & 1:
-            x = product @ x
-        product, q, span = product @ product, q >> 1, 2 * span
+            y = product @ y
+        product, q = product @ product, q >> 1
     for H in period[:rest]:
-        x = H @ x
-    if not _negligible(mass := float(x.sum()), max_horizon, order, tail_tol):
-        raise NonAbsorbingError(mass, max_horizon)
-    return within
+        y = H @ y
+    if _negligible(mass := float(y.sum()), max_horizon, order, tail_tol):
+        return
+    if mass < tail_tol:
+        for t, H in zip(range(t0 + 1, max_horizon), itertools.cycle(period)):
+            x = H @ x
+            if _negligible(float(x.sum()), t, order, tail_tol):
+                return
+    raise NonAbsorbingError(mass, max_horizon)
 
 
 def _segment_tail(x, p, step, last, ends=None, head=0):
@@ -538,24 +535,37 @@ def _segment_tail(x, p, step, last, ends=None, head=0):
     return rows, n
 
 
-def _tail_states(tail, x, lift, order, tail_tol, max_horizon, head=0) -> np.ndarray:
-    """The driver's states from step t0 of tail = (t0, period), where it
-    holds x, to the step at which the stopping rule ends the loop, as one
-    array of shape (head + steps, *x.shape) whose first `head` rows are left
-    for the caller. The states are evaluated by _segment_tail with the
-    engine's `lift`, and NonAbsorbingError is raised where the driver would
-    raise it. The mass is that of the first d entries of a state."""
-    (t0, period), d = tail, x.shape[-1]
-    within = _check_absorbs(tail, x.reshape(-1, d)[0], order, tail_tol, max_horizon)
+def _kept_states(schedule, state, start, lift, mass, order, tail_tol, max_horizon) -> np.ndarray:
+    """Every state of _recurrence run with `lift`, `mass` and `order`, from
+    `state` to the one at which the stopping rule ends the loop, as one
+    array of shape (steps + 1, *state.shape).
+
+    A hold-last or cycle schedule whose state has at most MAX_SEGMENT_STATES
+    entries is stepped only to where it turns homogeneous (see
+    _homogeneous_tail). The rest is evaluated by _segment_tail, to the same
+    horizon and with the same NonAbsorbingError; the mass there is that of
+    the first d entries of a state."""
+    kept = []
+    tail = _homogeneous_tail(schedule, start) if state.size <= MAX_SEGMENT_STATES else None
+    final, settled = _recurrence(schedule, state, start, tail_tol, max_horizon, lift,
+                                 lambda x, *_: kept.append(x), mass, order, until=tail and tail[0])
+    if settled:
+        return np.array(kept + [final])
+    (t0, period), d = tail, state.shape[-1]
+    last = int(max_horizon) - t0
+    _check_absorbs(tail, final.reshape(-1, d)[0], order, tail_tol, max_horizon)
     transposed = [H.T for H in period]
 
     def ends(rows, j):
         return _first_negligible(rows[:, :d].sum(axis=1), t0 + j, order, tail_tol)
 
-    rows, n = _segment_tail(x, len(period), lambda X, m: lift(X) @ transposed[m], within, ends, head)
-    if n is None:   # the rule held nowhere before max_horizon, where _check_absorbs found it held
-        raise NonAbsorbingError(float(rows[head + within, :d].sum()), max_horizon)
-    return rows[: head + n + 1].reshape(-1, *x.shape)
+    rows, n = _segment_tail(final, len(period), lambda X, m: lift(X) @ transposed[m], last, ends, len(kept))
+    if n is None:   # the rule held at no step up to max_horizon, though _check_absorbs found one
+        raise NonAbsorbingError(float(rows[len(kept) + last, :d].sum()), max_horizon)
+    states = rows[: len(kept) + n + 1].reshape(-1, *state.shape)
+    if kept:
+        np.stack(kept, out=states[: len(kept)])
+    return states
 
 
 def lifetime_distribution(
@@ -574,20 +584,13 @@ def lifetime_distribution(
     the mass is still above tolerance after `max_horizon` steps the schedule
     is considered non-absorbing and NonAbsorbingError is raised.
 
-    A hold-last or cycle schedule whose mass is not yet negligible where it
-    becomes homogeneous (see _homogeneous_tail) is stepped from there by
-    segments (_tail_states), to the same horizon and with the same errors.
+    The atoms are every kept state but the last against the absorption
+    vector of its step; a hold-last or cycle tail is evaluated by segments
+    (see _kept_states), to the same horizon and with the same errors.
     """
-    deaths: list[float] = []
     w = validate_distribution(initial, schedule.d)
-    tail = _segment_tail_of(schedule, start, schedule.d)
-    w, settled = _recurrence(schedule, w, start, tail_tol, max_horizon, lift=lambda w: w,
-                             keep=lambda w, _, b: deaths.append(float(w @ b)), until=tail and tail[0])
-    if not settled:
-        states = _tail_states(tail, w, lambda W: W, 0, tail_tol, max_horizon)
-        losses = np.array([absorption_vector(H) for H in tail[1]])
-        phases = np.arange(len(states) - 1) % len(losses)
-        deaths += np.einsum("ij,ij->i", states[:-1], losses[phases]).tolist()
-        w = states[-1]
-    probs = {n: died for n, died in enumerate(deaths, start=1) if died != 0.0}
-    return LifetimeDistribution(probs, tail_mass=float(w.sum()))
+    states = _kept_states(schedule, w, start, lambda w: w, np.ndarray.sum, 0, tail_tol, max_horizon)
+    losses = np.array(schedule._absorptions)[list(itertools.islice(schedule.indices(start), len(states) - 1))]
+    deaths = np.einsum("ij,ij->i", states[:-1], losses)
+    probs = {n: died for n, died in enumerate(deaths.tolist(), start=1) if died != 0.0}
+    return LifetimeDistribution(probs, tail_mass=float(states[-1].sum()))

@@ -37,10 +37,9 @@ from .chain import (
     _check_absorbs,
     _first_negligible,
     _homogeneous_tail,
+    _kept_states,
     _recurrence,
     _segment_tail,
-    _segment_tail_of,
-    _tail_states,
     validate_distribution,
 )
 from .errors import NegativeVarianceError
@@ -333,15 +332,6 @@ def _moment_lift(order: int, target: TargetSet):
     return lambda M: M + (shift @ M) * r
 
 
-def _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon, keep, until=None):
-    """Run the moment stack M, row k holding m_k(n), from M[0] = initial,
-    with _moment_lift lifting M before each transition."""
-    M = np.zeros((order + 1, schedule.d))
-    M[0] = _occupancy_start(schedule, initial, target)[0]
-    return _recurrence(schedule, M, start, tail_tol, max_horizon, order=order, keep=keep, until=until,
-                       lift=_moment_lift(order, target), mass=lambda M: M[0].sum())
-
-
 def _closed_moments(M, period, r):
     """E[(a + V)^k], k = 0..order, summed over the stack M of one phase of
     the repeating `period`, V being the target visits still to come.
@@ -424,26 +414,17 @@ def moment_tables(
     reported moment is then of order tail_tol rather than
     tail_tol * horizon^order.
 
-    A hold-last or cycle schedule whose weighted mass is not yet negligible
-    where it becomes homogeneous (see _homogeneous_tail) is stepped from
-    there by segments (chain._tail_states), to the same horizon and with the
-    same errors; the stacks before it and after it fill one array.
+    A hold-last or cycle tail is evaluated by segments (see
+    chain._kept_states), to the same horizon and with the same errors.
     """
     order = int(order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    stack = []
-    tail = _segment_tail_of(schedule, start, (order + 1) * schedule.d)
     with _overflow_named(order):
-        final, settled = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
-                                            keep=lambda M, *_: stack.append(M), until=tail and tail[0])
-        if settled:
-            values = np.array(stack + [final])
-        else:
-            values = _tail_states(tail, final, _moment_lift(order, target), order, tail_tol, max_horizon,
-                                  head=len(stack))
-            if stack:
-                np.stack(stack, out=values[: len(stack)])
+        M = np.zeros((order + 1, schedule.d))
+        M[0] = _occupancy_start(schedule, initial, target)[0]
+        values = _kept_states(schedule, M, start, _moment_lift(order, target), lambda M: M[0].sum(), order,
+                              tail_tol, max_horizon)
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
 
@@ -477,8 +458,10 @@ def occupancy_moments(
 
     tail = _homogeneous_tail(schedule, start)
     with _overflow_named(order):
-        M, settled = _moment_recurrence(schedule, initial, target, start, order, tail_tol, max_horizon,
-                                        keep, until=tail and tail[0])
+        M = np.zeros((order + 1, schedule.d))
+        M[0] = _occupancy_start(schedule, initial, target)[0]
+        M, settled = _recurrence(schedule, M, start, tail_tol, max_horizon, _moment_lift(order, target), keep,
+                                 lambda M: M[0].sum(), order, until=tail and tail[0])
         if not settled:
             _check_absorbs(tail, M[0], order, tail_tol, max_horizon)
             acc += _closed_moments(M, tail[1], target.mask)

@@ -1,10 +1,11 @@
 """Random environments: i.i.d. draws of the yearly transition matrix.
 
 Each environment sequence drawn from a RandomEnvironmentSpec is itself a
-deterministic schedule, so per-sequence occupancy statistics are exact; the
+deterministic schedule, and its occupancy moments are those of the order-2
+moment recurrence run along it, exact up to the truncation rule; the
 randomness enters only through which sequence is drawn. two_level_stats
-averages the exact per-sequence answers over sampled sequences and splits
-the variance of the occupancy total into a within-sequence part (mean of the
+averages the per-sequence answers over sampled sequences and splits the
+variance of the occupancy total into a within-sequence part (mean of the
 per-sequence variances) and a between-sequence part (variance of the
 per-sequence means). By the law of total variance the two parts sum to the
 total, and with the plug-in estimators used here the identity holds exactly
@@ -36,7 +37,7 @@ from .chain import (
     validate_matrix,
 )
 from .errors import InvalidDistributionError, NonAbsorbingError, StagedwellError
-from .occupancy import TargetSet, _binomial_shift
+from .occupancy import TargetSet, _moment_lift
 
 # Mixing probabilities are dimensionless model inputs, not printed data, so
 # they are held to a much tighter sum tolerance than matrix columns.
@@ -132,19 +133,20 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
-def _sequence_moments(spec, v, r, n_sequences, base, start, tail_tol, max_horizon, length):
+def _sequence_moments(spec, v, target, n_sequences, base, start, tail_tol, max_horizon, length):
     """First and second raw occupancy moments of every sampled sequence.
 
-    Runs the order-2 step of occupancy_moments, A = M + (L @ M) * r, then
-    acc += A b and M <- A U', on stacked arrays whose row s belongs to
-    sequence live[s]. A sequence leaves the live rows once its own stopping
-    rule is met. It draws condition indices from default_rng((*base, i)) in
-    chunks, never past `length`, and holds the last one beyond it. Returns
-    the first and second moments and the number of sequences that held.
+    Runs the order-2 step of occupancy_moments, the lift A of
+    _moment_lift(2, target), then acc += A b and M <- A U', on stacked
+    arrays whose row s belongs to sequence live[s]. A sequence leaves the
+    live rows once its own stopping rule is met. It draws condition indices
+    from default_rng((*base, i)) in chunks, never past `length`, and holds
+    the last one beyond it. Returns the first and second moments and the
+    number of sequences that held.
     """
     U_t = np.stack(spec.matrices).transpose(0, 2, 1)
     b = np.stack([absorption_vector(m) for m in spec.matrices])
-    shift = _binomial_shift(2)
+    lift = _moment_lift(2, target)
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
@@ -173,7 +175,7 @@ def _sequence_moments(spec, v, r, n_sequences, base, start, tail_tol, max_horizo
             chunk = [rngs[i].choice(spec.n_conditions, size=size, p=spec.probabilities) for i in live]
             drawn = np.concatenate([drawn, np.array(chunk, dtype=np.intp)], axis=1)
         k = drawn[:, n]
-        A = M + (shift @ M) * r
+        A = lift(M)
         acc += (A @ b[k][:, :, None])[:, :, 0]
         M = A @ U_t[k]
         mass = M[:, 0].sum(axis=1)
@@ -195,10 +197,13 @@ def two_level_stats(
 
     Sequence i is the schedule sample_schedule(spec, sample_length,
     np.random.default_rng((*seed, i))) draws, sample_length defaulting to
-    max_horizon, with the moments occupancy_moments(order=2) gives it. The
-    sequences advance together, each stopping under its own truncation rule
-    and drawing condition indices only as far as that, which leaves the
-    indices, and so the results, those of drawing every sequence in full.
+    max_horizon, with the moments of the order-2 recurrence on that
+    sequence written out step by step: occupancy_moments(order=2) on its
+    steps listed with extension "error" (on the sampled schedule itself it
+    would close the held tail exactly instead). The sequences advance
+    together, each stopping under its own truncation rule and drawing
+    condition indices only as far as that, which leaves the indices, and so
+    the results, those of drawing every sequence in full.
     NonAbsorbingError names the lowest sequence still alive after
     max_horizon steps. The plug-in (divide by n) variance estimators make
 
@@ -220,7 +225,7 @@ def two_level_stats(
     if target.d != spec.d:
         raise ValueError(f"target set is over {target.d} stages, conditions over {spec.d}")
     means, second, held = _sequence_moments(
-        spec, v, target.mask, n_sequences, _seed_entropy(seed), start,
+        spec, v, target, n_sequences, _seed_entropy(seed), start,
         tail_tol, max_horizon, length,
     )
     variances = np.maximum(second - means * means, 0.0)

@@ -415,6 +415,42 @@ class TestClosedTail:
         assert stepped.support() == closed.support()
         assert_allclose(list(stepped.probs.values()), list(closed.probs.values()), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("schedule", [
+        sw.Schedule.constant(np.diag([0.1, 0.99])),
+        sw.Schedule.periodic([np.diag([0.1, 0.99]), np.diag([0.2, 0.98])], [0, 1, 0]),
+    ], ids=["hold_last", "cycle"])
+    def test_weighted_mass_that_dips_and_rises_again(self, schedule):
+        # mass * (t+1)^4 falls below tail_tol near t = 20, where the
+        # recurrence stops, and is above it again at max_horizon = 400
+        v, target = [1.0, 1e-18], sw.TargetSet.all_states(2)
+        reference = _written_out(schedule, 400)
+        table = sw.moment_tables(schedule, v, target, order=4, max_horizon=400)
+        expected = sw.moment_tables(reference, v, target, order=4, max_horizon=400)
+        assert table.horizon == expected.horizon < 25
+        assert_allclose(table.values, expected.values, rtol=1e-12, atol=0)
+        moments = sw.occupancy_moments(schedule, v, target, order=4, max_horizon=400)
+        assert moments == pytest.approx(sw.occupancy_moments(reference, v, target, order=4, max_horizon=400),
+                                        rel=1e-8)
+
+    @pytest.mark.parametrize("case", ["constant", "hold_last prefix", "cycle of 5", "error", "above the cap"])
+    def test_lifetime_walks_the_steps_of_the_zeroth_moment_table(self, case, monkeypatch):
+        # the lifetime atoms are the zeroth moments, step by step, against
+        # each step's absorption vector, the closing tail included
+        rng = np.random.default_rng(31)
+        length, extension, start = {"constant": (1, "hold_last", 0), "hold_last prefix": (6, "hold_last", 2),
+                                    "cycle of 5": (5, "cycle", 3), "error": (400, "error", 1),
+                                    "above the cap": (4, "cycle", 0)}[case]
+        sched = random_schedule(rng, d=3, length=length, extension=extension, low=0.8, high=0.93)
+        if case == "above the cap":
+            monkeypatch.setattr(sw.chain, "MAX_SEGMENT_STATES", 2)
+        v = random_distribution(rng, 3)
+        dist = sw.lifetime_distribution(sched, v, start=start)
+        values = sw.moment_tables(sched, v, sw.TargetSet.none(3), start=start, order=0).values
+        assert dist.tail_mass == pytest.approx(values[-1, 0].sum(), rel=1e-14)
+        atoms = [values[n - 1, 0] @ sched.absorption_at(start + n - 1) for n in range(1, len(values))]
+        assert max(dist.probs) == len(values) - 1 > 100
+        assert_allclose(dist.to_array(len(values))[1:], atoms, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("extension", ["hold_last", "cycle"])
     def test_empty_target_closes_with_an_empty_visit_series(self, extension):
         # no target stage: the censored visit chain has no states at all
