@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .occupancy import occupancy_distribution, occupancy_moments, summary_stats
 from .randomenv import simplex_sweep, two_level_stats
 from .scenario import (
     ScenarioConfig,
+    _write_text,
     builtin_fulmar_scenario,
     export_results,
     format_number,
@@ -33,32 +33,21 @@ from .simulate import empirical_distribution, total_variation
 BUILTIN_NAME = "builtin:fulmar"
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _checked(cast, holds, wanted):
+    """An argparse type: cast the text, then require holds(value)."""
+    def check(text: str):
+        value = cast(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {wanted}, got {value}")
+        return value
+    check.__name__ = cast.__name__  # argparse names it in "invalid int value: 'x'"
+    return check
 
 
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
-    return value
-
-
-def _grid_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {value}")
-    return value
+_nonneg_int = _checked(int, lambda x: x >= 0, "be nonnegative")
+_pos_int = _checked(int, lambda x: x >= 1, "be positive")
+_unit_float = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+_grid_float = _checked(float, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
 
 
 def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
@@ -88,23 +77,13 @@ def _load_config(args) -> ScenarioConfig:
         updates["target_labels"] = tuple(
             s.strip() for s in args.target.split(",") if s.strip()
         )
-    if args.start is not None:
-        updates["start"] = args.start
-    if args.tail_tol is not None:
-        updates["tail_tol"] = args.tail_tol
-    if args.max_horizon is not None:
-        updates["max_horizon"] = args.max_horizon
+    for name in ("start", "tail_tol", "max_horizon"):
+        if getattr(args, name) is not None:
+            updates[name] = getattr(args, name)
     if updates:
         config = dataclasses.replace(config, **updates)
     config.target_set()  # surface bad target labels before any computation
     return config
-
-
-def _write_text(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
 
 
 def _realized_schedule(config: ScenarioConfig, seed: int):

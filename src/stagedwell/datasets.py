@@ -26,8 +26,6 @@ FULMAR_STATES = (
 # counts (indices 1 and 2 of FULMAR_STATES).
 FULMAR_BREEDING_STATES = ("successful breeder", "failed breeder")
 
-FULMAR_CONDITION_LABELS = ("favourable", "ordinary", "unfavourable")
-
 _FAVOURABLE = (
     (0.828, 0.0, 0.0, 0.0),
     (0.06624, 0.72912, 0.62244, 0.40176),
@@ -56,10 +54,6 @@ class FulmarDataset:
 
     states: StateSpace
     matrices: dict[str, np.ndarray]
-
-    @property
-    def condition_labels(self) -> tuple[str, ...]:
-        return FULMAR_CONDITION_LABELS
 
     def conditions(self) -> list[tuple[str, np.ndarray]]:
         """(name, matrix) pairs in favourable, ordinary, unfavourable order."""

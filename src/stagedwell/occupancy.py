@@ -129,11 +129,12 @@ def _transport(n_target: int, d: int):
     return lift
 
 
-def _occupancy_start(schedule: Schedule, initial, target: TargetSet) -> np.ndarray:
-    """Validated initial distribution as the one-row table p(0, start)."""
-    v = validate_distribution(initial, schedule.d)
-    if target.d != schedule.d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {schedule.d}")
+def _occupancy_start(chain, initial, target: TargetSet) -> np.ndarray:
+    """Validated initial distribution as the one-row table p(0, start): every
+    engine's input check, on any chain with a stage count `d`."""
+    v = validate_distribution(initial, chain.d)
+    if target.d != chain.d:
+        raise ValueError(f"target set is over {target.d} stages, the chain over {chain.d}")
     return v[np.newaxis, :]
 
 

@@ -33,11 +33,10 @@ from .chain import (
     Schedule,
     _check_truncation,
     absorption_vector,
-    validate_distribution,
     validate_matrix,
 )
 from .errors import InvalidDistributionError, NonAbsorbingError, StagedwellError
-from .occupancy import TargetSet, _moment_lift
+from .occupancy import TargetSet, _moment_lift, _occupancy_start
 
 # Mixing probabilities are dimensionless model inputs, not printed data, so
 # they are held to a much tighter sum tolerance than matrix columns.
@@ -221,9 +220,7 @@ def two_level_stats(
     start = int(start)
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    v = validate_distribution(initial, spec.d)
-    if target.d != spec.d:
-        raise ValueError(f"target set is over {target.d} stages, conditions over {spec.d}")
+    v = _occupancy_start(spec, initial, target)[0]
     means, second, held = _sequence_moments(
         spec, v, target, n_sequences, _seed_entropy(seed), start,
         tail_tol, max_horizon, length,

@@ -54,7 +54,8 @@ from .errors import (
     UnknownMatrixError,
 )
 from .occupancy import OccupancyDistribution, TargetSet
-from .randomenv import RandomEnvironmentSpec, SweepPoint, TwoLevelStats, sample_schedule
+from .randomenv import (PROBABILITY_SUM_TOL, RandomEnvironmentSpec, SweepPoint, TwoLevelStats,
+                        sample_schedule)
 from .simulate import EmpiricalSummary
 
 COLUMN_CONVENTION = "column-stochastic-convention"
@@ -240,7 +241,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if not isinstance(w, (int, float)) or isinstance(w, bool) or w < 0 or not math.isfinite(w):
                 raise ScenarioParseError(f"schedule.probabilities.{name}", f"weight must be a nonnegative number, got {w!r}")
             weights.append(float(w))
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if abs(sum(weights) - 1.0) > PROBABILITY_SUM_TOL:
             raise InvalidDistributionError(f"schedule.probabilities sum to {sum(weights)!r}, not 1")
         length = schedule_raw.get("length")
         if length is not None and (not isinstance(length, int) or isinstance(length, bool) or length < 1):
@@ -349,13 +350,13 @@ def format_number(x) -> str:
 
 
 def _rounded(x):
-    """A JSON-ready copy of x: floats at 12 significant digits, keys as strings."""
+    """A JSON-ready copy of x: floats at 12 significant digits (None if not finite), keys as strings."""
     if isinstance(x, dict):
         return {str(k): _rounded(v) for k, v in x.items()}
     if isinstance(x, list):
         return [_rounded(v) for v in x]
-    if isinstance(x, float) and math.isfinite(x):
-        return float(f"{x:.12g}")
+    if isinstance(x, float):
+        return float(f"{x:.12g}") if math.isfinite(x) else None
     return x
 
 
@@ -431,9 +432,14 @@ def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> N
         _, _, doc = _export_parts(result)
         if metadata:
             doc["metadata"] = dict(metadata)
-        text = json.dumps(_rounded(doc), indent=2) + "\n"
+        text = json.dumps(_rounded(doc), indent=2, allow_nan=False) + "\n"
     else:
         raise ScenarioError(f"unknown export format {fmt!r} (expected 'csv' or 'json')")
+    _write_text(text, destination)
+
+
+def _write_text(text: str, destination) -> None:
+    """Write text to stdout (destination None), an open file or a path."""
     if destination is None:
         sys.stdout.write(text)
     elif hasattr(destination, "write"):

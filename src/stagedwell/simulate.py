@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from .chain import DEFAULT_MAX_HORIZON, DiscreteDistribution, Schedule, validate_distribution
+from .chain import DEFAULT_MAX_HORIZON, DiscreteDistribution, Schedule
 from .errors import NonTerminatingError
-from .occupancy import TargetSet
+from .occupancy import TargetSet, _occupancy_start
 
 # Trajectories per generator stream; part of the seeding contract. It divides
 # the decimal sample counts in use (2000, 10**5, 10**6) into whole blocks.
@@ -56,10 +56,8 @@ def _prepare(schedule: Schedule, initial, target: TargetSet):
     advances both counts; inc[d] is 0. vcum is the cumulative initial
     distribution.
     """
-    v = validate_distribution(initial, schedule.d)
+    v = _occupancy_start(schedule, initial, target)[0]
     d = schedule.d
-    if target.d != d:
-        raise ValueError(f"target set is over {target.d} stages, schedule over {d}")
     thresholds = np.full((len(schedule.matrices), d + 1, d + 1), np.inf)
     thresholds[:, :d, :d] = np.cumsum(np.stack(schedule.matrices), axis=1).transpose(0, 2, 1)
     thresholds[:, d, :d] = 0.0
@@ -168,12 +166,6 @@ class EmpiricalSummary:
     @property
     def std_error(self) -> float:
         return math.sqrt(self.variance / self.n_samples)
-
-    def occupancy_pmf(self) -> dict[int, float]:
-        return {a: c / self.n_samples for a, c in sorted(self.occupancy_counts.items())}
-
-    def lifetime_pmf(self) -> dict[int, float]:
-        return {n: c / self.n_samples for n, c in sorted(self.lifetime_counts.items())}
 
     def merge(self, other: "EmpiricalSummary") -> "EmpiricalSummary":
         occ = Counter(self.occupancy_counts)

@@ -110,6 +110,20 @@ class TestUsageErrors:
             main(["occupancy", "--scenario", geometric_path, "--tail-tol", "2.0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["occupancy", "--start", "-1"], "must be nonnegative, got -1"),
+        (["occupancy", "--max-horizon", "0"], "must be positive, got 0"),
+        (["occupancy", "--tail-tol", "1"], "must lie in (0, 1), got 1.0"),
+        (["env-sweep", "--grid-step", "0"], "must lie in (0, 1], got 0.0"),
+        (["simulate", "--samples", "0"], "must be positive, got 0"),
+        (["occupancy", "--start", "x"], "invalid int value: 'x'"),
+    ], ids=["start", "max_horizon", "tail_tol", "grid_step", "samples", "not_a_number"])
+    def test_range_messages(self, capsys, geometric_path, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--scenario", geometric_path])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_target_label(self, capsys, geometric_path):
         code, _, err = run(capsys, ["occupancy", "--scenario", geometric_path,
                                     "--target", "bogus"])
@@ -340,6 +354,25 @@ class TestEnvSweep:
                                     "--grid-step", "1.0", "--samples", "5"])
         assert code == 1
         assert err.startswith("error:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["moments", "--scenario", "builtin:fulmar"], lambda doc: [doc["metadata"]["cv"]]),
+    (["env-sweep", "--scenario", str(SCENARIOS / "fulmar_random_environment.json"),
+      "--grid-step", "1", "--samples", "2"], lambda doc: [pt["cv"] for pt in doc["grid"]]),
+    (["simulate", "--scenario", "builtin:fulmar", "--samples", "10"],
+     lambda doc: [doc["metadata"]["mean_error_std_errors"]]),
+], ids=["moments", "env_sweep", "simulate"])
+def test_json_writes_null_for_undefined_values(capsys, argv, fields):
+    # an empty target gives a zero mean: its CV and standard error are undefined
+    code, out, err = run(capsys, argv + ["--target", "", "--format", "json"])
+    assert code == 0, err
+    values = fields(json.loads(out, parse_constant=_reject_constant))
+    assert values and all(x is None for x in values)
 
 
 # Scenario documents the fuzz test mutates: the two above and the shipped

@@ -504,6 +504,31 @@ def test_engine_truncation_target_and_start_contract(engine):
     assert _payload(shifted) == _payload(run(sw.Schedule.explicit(mats[2:], range(4)), v, target))
 
 
+SAMPLING_ENGINES = {
+    "simulate_trajectory": lambda s, v, target: sw.simulate_trajectory(
+        s, v, target, np.random.default_rng(0)),
+    "empirical_distribution": lambda s, v, target: sw.empirical_distribution(
+        s, v, target, n_samples=10),
+    "two_level_stats": lambda s, v, target: sw.two_level_stats(
+        sw.RandomEnvironmentSpec(("a", "b"), s.matrices[:2], [0.5, 0.5]), v, target,
+        n_sequences=2),
+}
+
+
+@pytest.mark.parametrize("engine", SAMPLING_ENGINES)
+def test_sampling_engines_share_the_input_check(engine):
+    run = SAMPLING_ENGINES[engine]
+    rng = np.random.default_rng(31)
+    sched = sw.Schedule.explicit([random_substochastic(rng, 3) for _ in range(2)], [0, 1])
+    v = random_distribution(rng, 3)
+    target = sw.TargetSet(3, frozenset({1}))
+    run(sched, v, target)
+    with pytest.raises(ValueError, match="target set is over"):
+        run(sched, v, sw.TargetSet(4, frozenset({0})))
+    with pytest.raises(sw.InvalidDistributionError):
+        run(sched, np.append(v, 0.0), target)
+
+
 class TestSummaryStats:
     def test_geometric_values(self):
         s = sw.summary_stats(1.0, 3.0)
