@@ -385,9 +385,9 @@ def _first_negligible(masses: np.ndarray, t: int, order: int, tail_tol: float):
     return None
 
 
-def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=np.ndarray.sum, order=0,
-                until=None):
-    """The one stepping loop of the exact engines; returns (state, settled).
+def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, stages=lambda x: x, order=0,
+                closes=None):
+    """The one stepping loop of the exact engines; returns (state, tail).
 
     Step t lifts the state by the engine's pre-transition `lift`, calls
     keep(state, lifted, b) with the absorption vector b of the matrix B
@@ -395,29 +395,33 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, mass=
     on to lifted @ B'. Each engine keeps what it needs: the absorption
     losses lifted @ b, or every state; `lifted` may be a reused buffer, so
     keep must not hold on to it.
-    The loop stops before step t once mass(state) * (t+1)**order < tail_tol
-    (order 0 for the distributions; see moment_tables for why moments
-    weight the mass) and raises NonAbsorbingError if that has not happened
-    within max_horizon steps. It returns the final state and whether the
-    stopping rule ended it: False only when it stopped before step `until`
-    with the mass still above the rule, for the engine to close the rest.
+    The loop stops before step t once the surviving mass, stages(state) as
+    rows over the d stages, times (t+1)**order is below tail_tol (order 0
+    for the distributions; see moment_tables for why moments weight the
+    mass), and raises NonAbsorbingError if that has not happened within
+    max_horizon steps; tail is then None. If closes(period) says that the
+    engine can close the schedule's homogeneous tail (t0, period) (see
+    _homogeneous_tail), the loop stops at t0 instead, raises as
+    _check_absorbs does, and returns that tail for the engine to close.
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
+    tail = _homogeneous_tail(schedule, start) if closes else None
     transposed = [m.T for m in schedule.matrices]
     indices = schedule.indices(start)
-    stop = max_horizon if until is None else min(until, max_horizon)
+    stop = min(tail[0], max_horizon) if tail and closes(tail[1]) else max_horizon
     t = 0
-    while not _negligible(surviving := float(mass(state)), t, order, tail_tol):
+    while not _negligible(surviving := float(stages(state).sum()), t, order, tail_tol):
         if t >= stop:
             if t >= max_horizon:
                 raise NonAbsorbingError(surviving, max_horizon)
-            return state, False
+            _check_absorbs(tail, stages(state).reshape(-1, schedule.d).sum(axis=0), order, tail_tol, max_horizon)
+            return state, tail
         k = next(indices)
         lifted = lift(state)
         keep(state, lifted, schedule._absorptions[k])
         state = lifted @ transposed[k]
         t += 1
-    return state, True
+    return state, None
 
 
 def _homogeneous_tail(schedule: Schedule, start: int):
@@ -461,7 +465,7 @@ def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
     never rises. A smaller one may, if a moment order's weighted mass fell
     below tail_tol and rose again, so the steps are then followed one at a
     time."""
-    (t0, period), (tail_tol, max_horizon) = tail, _check_truncation(tail_tol, max_horizon)
+    t0, period = tail
     q, rest = divmod(max_horizon - t0, len(period))
     product = functools.reduce(lambda acc, H: H @ acc, period)
     y = x
@@ -535,25 +539,24 @@ def _segment_tail(x, p, step, last, ends=None, head=0):
     return rows, n
 
 
-def _kept_states(schedule, state, start, lift, mass, order, tail_tol, max_horizon) -> np.ndarray:
-    """Every state of _recurrence run with `lift`, `mass` and `order`, from
-    `state` to the one at which the stopping rule ends the loop, as one
-    array of shape (steps + 1, *state.shape).
+def _kept_states(schedule, state, start, lift, stages, order, tail_tol, max_horizon) -> np.ndarray:
+    """Every state of _recurrence run with `lift`, `stages` and `order`,
+    from `state` to the one at which the stopping rule ends the loop, as
+    one array of shape (steps + 1, *state.shape).
 
     A hold-last or cycle schedule whose state has at most MAX_SEGMENT_STATES
     entries is stepped only to where it turns homogeneous (see
     _homogeneous_tail). The rest is evaluated by _segment_tail, to the same
-    horizon and with the same NonAbsorbingError; the mass there is that of
-    the first d entries of a state."""
+    horizon and with the same NonAbsorbingError; stages(state) must be the
+    first d entries of a state."""
     kept = []
-    tail = _homogeneous_tail(schedule, start) if state.size <= MAX_SEGMENT_STATES else None
-    final, settled = _recurrence(schedule, state, start, tail_tol, max_horizon, lift,
-                                 lambda x, *_: kept.append(x), mass, order, until=tail and tail[0])
-    if settled:
+    closes = (lambda period: True) if state.size <= MAX_SEGMENT_STATES else None
+    final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, lift,
+                              lambda x, *_: kept.append(x), stages, order, closes)
+    if tail is None:
         return np.array(kept + [final])
-    (t0, period), d = tail, state.shape[-1]
+    (t0, period), d = tail, schedule.d
     last = int(max_horizon) - t0
-    _check_absorbs(tail, final.reshape(-1, d)[0], order, tail_tol, max_horizon)
     transposed = [H.T for H in period]
 
     def ends(rows, j):
@@ -589,7 +592,7 @@ def lifetime_distribution(
     (see _kept_states), to the same horizon and with the same errors.
     """
     w = validate_distribution(initial, schedule.d)
-    states = _kept_states(schedule, w, start, lambda w: w, np.ndarray.sum, 0, tail_tol, max_horizon)
+    states = _kept_states(schedule, w, start, lambda w: w, lambda w: w, 0, tail_tol, max_horizon)
     losses = np.array(schedule._absorptions)[list(itertools.islice(schedule.indices(start), len(states) - 1))]
     deaths = np.einsum("ij,ij->i", states[:-1], losses)
     probs = {n: died for n, died in enumerate(deaths.tolist(), start=1) if died != 0.0}

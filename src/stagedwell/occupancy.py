@@ -34,9 +34,7 @@ from .chain import (
     Schedule,
     StateSpace,
     _as_indices,
-    _check_absorbs,
     _first_negligible,
-    _homogeneous_tail,
     _kept_states,
     _recurrence,
     _segment_tail,
@@ -44,8 +42,9 @@ from .chain import (
 )
 from .errors import NegativeVarianceError
 
-# Roundoff allowance when deciding that a variance is genuinely negative
-# rather than a victim of cancellation between nearly equal moments.
+# Roundoff allowance, relative once the second moment passes 1, when deciding
+# that a variance is genuinely negative rather than a victim of cancellation
+# between nearly equal moments, which grows with their size.
 VARIANCE_TOL = 1e-12
 
 # A cycle's occupancy distribution is closed on the dense p*d phase x stage
@@ -107,14 +106,30 @@ class OccupancyDistribution(DiscreteDistribution):
     """Distribution of total steps spent in a target set; support starts at 0."""
 
 
-def _transport(n_target: int, d: int):
-    """The occupancy-count update of a table whose first n_target stages are
-    the target: a lift moving their mass up one row in a.
+def _occupancy_start(chain, initial, target: TargetSet) -> np.ndarray:
+    """Validated initial distribution as the one-row table p(0, start): every
+    engine's input check, on any chain with a stage count `d`."""
+    v = validate_distribution(initial, chain.d)
+    if target.d != chain.d:
+        raise ValueError(f"target set is over {target.d} stages, the chain over {chain.d}")
+    return v[np.newaxis, :]
 
-    The lift copies into one zero-initialised buffer that grows by doubling
-    and returns a view of it, valid until the next call. Row 0 of the target
-    block and the last row of the rest are never written, so they stay zero.
+
+def _target_first(schedule: Schedule, initial, target: TargetSet):
+    """The chain with its target stages first, and its occupancy-count lift.
+
+    Returns (schedule, p(0, start), order, lift): the schedule and initial
+    table over the stages taken in `order`, the target members and then the
+    rest, each in the caller's order, and the lift moving the target stages'
+    mass up one row in a. The lift copies into one zero-initialised buffer
+    that grows by doubling and returns a view of it, valid until the next
+    call. Row 0 of the target block and the last row of the rest are never
+    written, so they stay zero. The closed tail does not depend on stage
+    order and runs on this chain unchanged.
     """
+    rows = _occupancy_start(schedule, initial, target)
+    order = np.argsort(target.mask == 0, kind="stable")
+    n_target, d = len(target.members), schedule.d
     out = np.zeros((64, d))
 
     def lift(rows):
@@ -126,29 +141,7 @@ def _transport(n_target: int, d: int):
         out[:a, n_target:] = rows[:, n_target:]
         return out[: a + 1]
 
-    return lift
-
-
-def _occupancy_start(chain, initial, target: TargetSet) -> np.ndarray:
-    """Validated initial distribution as the one-row table p(0, start): every
-    engine's input check, on any chain with a stage count `d`."""
-    v = validate_distribution(initial, chain.d)
-    if target.d != chain.d:
-        raise ValueError(f"target set is over {target.d} stages, the chain over {chain.d}")
-    return v[np.newaxis, :]
-
-
-def _target_first(schedule: Schedule, initial, target: TargetSet):
-    """The chain with its target stages first, for _transport.
-
-    Returns (schedule, p(0, start), order): the schedule and initial table
-    over the stages taken in `order`, the target members and then the rest,
-    each in the caller's order. The closed tail does not depend on stage
-    order and runs on this chain unchanged.
-    """
-    rows = _occupancy_start(schedule, initial, target)
-    order = np.argsort(target.mask == 0, kind="stable")
-    return schedule._permuted(order), rows[:, order], order
+    return schedule._permuted(order), rows[:, order], order, lift
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +207,7 @@ def evolve_joint(
     below-tolerance table is included); raises NonAbsorbingError if that has
     not happened within max_horizon steps.
     """
-    schedule, rows, order = _target_first(schedule, initial, target)
-    lift = _transport(len(target.members), schedule.d)
+    schedule, rows, order, lift = _target_first(schedule, initial, target)
     back = np.argsort(order)
     tables = []
 
@@ -287,8 +279,7 @@ def occupancy_distribution(
     _closed_distribution instead; tail_mass is then the probability of an
     occupancy beyond the last atom, again below tail_tol.
     """
-    schedule, rows, order = _target_first(schedule, initial, target)
-    lift = _transport(len(target.members), schedule.d)
+    schedule, rows, order, lift = _target_first(schedule, initial, target)
     acc = np.zeros(64)
 
     def keep(rows, moved, b):
@@ -297,15 +288,11 @@ def occupancy_distribution(
             acc = np.concatenate([acc, np.zeros(acc.size)])
         acc[: moved.shape[0]] += moved @ b
 
-    tail = _homogeneous_tail(schedule, start)
-    if tail and len(tail[1]) * schedule.d > MAX_CLOSED_CYCLE_STATES:
-        tail = None
-    rows, settled = _recurrence(schedule, rows, start, tail_tol, max_horizon, lift=lift, keep=keep,
-                                until=tail and tail[0])
-    if settled:
+    rows, tail = _recurrence(schedule, rows, start, tail_tol, max_horizon, lift=lift, keep=keep,
+                             closes=lambda period: len(period) * schedule.d <= MAX_CLOSED_CYCLE_STATES)
+    if tail is None:
         atoms, tail_mass = acc[: rows.shape[0]], float(rows.sum())
     else:
-        _check_absorbs(tail, rows.sum(axis=0), 0, tail_tol, max_horizon)
         atoms, tail_mass = _closed_distribution(rows, acc, tail[1], target.mask[order], tail_tol)
     probs = {a: float(p) for a, p in enumerate(atoms) if p != 0.0}
     return OccupancyDistribution(probs, tail_mass=tail_mass)
@@ -327,10 +314,13 @@ def _binomial_shift(order: int) -> np.ndarray:
     return np.tril(pascal, -1)
 
 
-def _moment_lift(order: int, target: TargetSet):
-    """The lift A = M + (L @ M) * r of a moment stack M, or of a batch of them."""
+def _moment_start(chain, initial, target: TargetSet, order: int):
+    """The moment stack M of p(0, start), rows 1..order zero, and the lift
+    A = M + (L @ M) * r of a moment stack, or of a batch of them."""
+    M = np.zeros((order + 1, chain.d))
+    M[0] = _occupancy_start(chain, initial, target)[0]
     shift, r = _binomial_shift(order), target.mask
-    return lambda M: M + (shift @ M) * r
+    return M, lambda M: M + (shift @ M) * r
 
 
 def _closed_moments(M, period, r):
@@ -422,10 +412,8 @@ def moment_tables(
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     with _overflow_named(order):
-        M = np.zeros((order + 1, schedule.d))
-        M[0] = _occupancy_start(schedule, initial, target)[0]
-        values = _kept_states(schedule, M, start, _moment_lift(order, target), lambda M: M[0].sum(), order,
-                              tail_tol, max_horizon)
+        M, lift = _moment_start(schedule, initial, target, order)
+        values = _kept_states(schedule, M, start, lift, lambda M: M[0], order, tail_tol, max_horizon)
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
 
@@ -457,14 +445,11 @@ def occupancy_moments(
     def keep(M, A, b):
         acc[:] += A @ b
 
-    tail = _homogeneous_tail(schedule, start)
     with _overflow_named(order):
-        M = np.zeros((order + 1, schedule.d))
-        M[0] = _occupancy_start(schedule, initial, target)[0]
-        M, settled = _recurrence(schedule, M, start, tail_tol, max_horizon, _moment_lift(order, target), keep,
-                                 lambda M: M[0].sum(), order, until=tail and tail[0])
-        if not settled:
-            _check_absorbs(tail, M[0], order, tail_tol, max_horizon)
+        M, lift = _moment_start(schedule, initial, target, order)
+        M, tail = _recurrence(schedule, M, start, tail_tol, max_horizon, lift, keep, lambda M: M[0], order,
+                              closes=lambda period: True)
+        if tail:
             acc += _closed_moments(M, tail[1], target.mask)
     return [float(x) for x in acc[1:]]
 
@@ -496,7 +481,7 @@ def summary_stats(first_moment: float, second_moment: float) -> SummaryStats:
     """Mean/variance/CV from the first two raw moments."""
     first = float(first_moment)
     variance = float(second_moment) - first * first
-    if variance < -VARIANCE_TOL:
+    if variance < -VARIANCE_TOL * max(1.0, abs(float(second_moment))):
         raise NegativeVarianceError(first_moment, second_moment)
     variance = max(variance, 0.0)
     cv = math.sqrt(variance) / first if first != 0.0 else math.nan

@@ -36,7 +36,7 @@ from .chain import (
     validate_matrix,
 )
 from .errors import InvalidDistributionError, NonAbsorbingError, StagedwellError
-from .occupancy import TargetSet, _moment_lift, _occupancy_start
+from .occupancy import TargetSet, _moment_start
 
 # Mixing probabilities are dimensionless model inputs, not printed data, so
 # they are held to a much tighter sum tolerance than matrix columns.
@@ -132,25 +132,23 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
-def _sequence_moments(spec, v, target, n_sequences, base, start, tail_tol, max_horizon, length):
+def _sequence_moments(spec, M, lift, n_sequences, base, start, tail_tol, max_horizon, length):
     """First and second raw occupancy moments of every sampled sequence.
 
-    Runs the order-2 step of occupancy_moments, the lift A of
-    _moment_lift(2, target), then acc += A b and M <- A U', on stacked
-    arrays whose row s belongs to sequence live[s]. A sequence leaves the
-    live rows once its own stopping rule is met. It draws condition indices
-    from default_rng((*base, i)) in chunks, never past `length`, and holds
-    the last one beyond it. Returns the first and second moments and the
-    number of sequences that held.
+    Runs the order-2 step of occupancy_moments from the stack M and lift
+    of _moment_start: A = lift(M), then acc += A b and M <- A U', on
+    stacked arrays whose row s belongs to sequence live[s]. A sequence
+    leaves the live rows once its own stopping rule is met. It draws
+    condition indices from default_rng((*base, i)) in chunks, never past
+    `length`, and holds the last one beyond it. Returns the first and
+    second moments and the number of sequences that held.
     """
     U_t = np.stack(spec.matrices).transpose(0, 2, 1)
     b = np.stack([absorption_vector(m) for m in spec.matrices])
-    lift = _moment_lift(2, target)
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
-    M = np.zeros((n_sequences, 3, spec.d))
-    M[:, 0] = v
+    M = np.repeat(M[np.newaxis], n_sequences, axis=0)
     acc = np.zeros((n_sequences, 3))
     drawn = np.empty((n_sequences, 0), dtype=np.intp)
     mass = M[:, 0].sum(axis=1)
@@ -220,9 +218,9 @@ def two_level_stats(
     start = int(start)
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    v = _occupancy_start(spec, initial, target)[0]
+    M, lift = _moment_start(spec, initial, target, 2)
     means, second, held = _sequence_moments(
-        spec, v, target, n_sequences, _seed_entropy(seed), start,
+        spec, M, lift, n_sequences, _seed_entropy(seed), start,
         tail_tol, max_horizon, length,
     )
     variances = np.maximum(second - means * means, 0.0)

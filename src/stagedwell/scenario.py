@@ -151,6 +151,11 @@ class ScenarioConfig:
         return list(self.matrices.items())
 
 
+def _known_keys(raw: dict, keys: set, loc: str) -> None:
+    if unknown := sorted(set(raw) - keys):
+        raise ScenarioParseError(loc, f"unknown keys {unknown}")
+
+
 def _require(raw: dict, key: str):
     if key not in raw:
         raise ScenarioParseError(key, "required field is missing")
@@ -169,9 +174,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     if not isinstance(raw, dict):
         raise ScenarioParseError("$", "top level must be a JSON object")
-    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ScenarioParseError("$", f"unknown keys {unknown}")
+    _known_keys(raw, _TOP_LEVEL_KEYS, "$")
 
     states_raw = _require(raw, "states")
     if not isinstance(states_raw, list) or not all(isinstance(s, str) for s in states_raw):
@@ -212,6 +215,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError("schedule", "must be an object with a 'kind'")
     kind = schedule_raw.get("kind")
     if kind == "constant":
+        _known_keys(schedule_raw, {"kind", "matrix"}, "schedule")
         name = schedule_raw.get("matrix")
         if not isinstance(name, str):
             raise ScenarioParseError("schedule.matrix", "constant schedule needs a matrix name")
@@ -219,6 +223,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise UnknownMatrixError(name, matrices)
         schedule_spec: ConstantSchedule | ExplicitSchedule | RandomSchedule = ConstantSchedule(name)
     elif kind == "explicit":
+        _known_keys(schedule_raw, {"kind", "sequence", "extension"}, "schedule")
         seq = schedule_raw.get("sequence")
         if not isinstance(seq, list) or not seq or not all(isinstance(s, str) for s in seq):
             raise ScenarioParseError("schedule.sequence", "must be a non-empty list of matrix names")
@@ -230,6 +235,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ScenarioParseError("schedule.extension", f"must be one of {list(EXTENSIONS)}, got {extension!r}")
         schedule_spec = ExplicitSchedule(tuple(seq), extension)
     elif kind == "random":
+        _known_keys(schedule_raw, {"kind", "probabilities", "length"}, "schedule")
         probs = schedule_raw.get("probabilities")
         if not isinstance(probs, dict) or not probs:
             raise ScenarioParseError("schedule.probabilities", "must be a non-empty object of per-matrix weights")

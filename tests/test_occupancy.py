@@ -362,6 +362,30 @@ class TestClosedTail:
             ENGINES[engine](schedule, [1.0, 0.0], sw.TargetSet(2, frozenset({0})), max_horizon=60)
         assert info.value.horizon == 60
 
+    @pytest.mark.parametrize("extension, length, start", [("hold_last", 6, 2), ("cycle", 4, 1)])
+    @pytest.mark.parametrize("engine", ["occupancy_distribution", "occupancy_moments", "lifetime_distribution",
+                                        "moment_tables"])
+    def test_max_horizon_at_the_hand_off(self, extension, length, start, engine):
+        # max_horizon just before, at and after t0, where the recurrence
+        # hands over to the closed tail, and at the written-out recurrence's
+        # last step and one before: raised where, and only where, it raises
+        rng = np.random.default_rng(length)
+        sched = random_schedule(rng, d=3, length=length, extension=extension, low=0.85, high=0.95)
+        v, target = random_distribution(rng, 3), sw.TargetSet(3, frozenset({0, 2}))
+        t0 = length - 1 - start if extension == "hold_last" else length
+        kw = {"order": 3} if "moment" in engine else {}
+        last = sw.moment_tables(_written_out(sched, start + 2000), v, target, start=start,
+                                order=kw.get("order", 0)).horizon
+        for max_horizon in (t0 - 1, t0, t0 + 1, last - 1, last):
+            raised = []
+            for schedule in (sched, _written_out(sched, start + max_horizon + 1)):
+                try:
+                    ENGINES[engine](schedule, v, target, start=start, max_horizon=max_horizon, **kw)
+                    raised.append(None)
+                except sw.NonAbsorbingError as exc:
+                    raised.append(exc.horizon)
+            assert raised == [max_horizon if max_horizon < last else None] * 2, max_horizon
+
     def test_immortal_stage_off_the_path_keeps_the_recurrence(self):
         # stage 1 never dies but is never entered: I - H is singular, so the
         # tail is not closed, and the results are the recurrence's bit for bit
@@ -553,3 +577,10 @@ class TestSummaryStats:
     def test_genuinely_negative_raises(self):
         with pytest.raises(sw.NegativeVarianceError):
             sw.summary_stats(1.0, 0.9)
+
+    def test_cancellation_grows_with_the_moments(self):
+        # a deterministic occupancy of 301 steps comes out of the moment
+        # recurrence with m2 - m1^2 = -4.9e-10: roundoff at that size
+        assert sw.summary_stats(301.0, 301.0**2 - 5e-10).variance == 0.0
+        with pytest.raises(sw.NegativeVarianceError):
+            sw.summary_stats(301.0, 301.0**2 * (1 - 1e-6))

@@ -64,6 +64,17 @@ class TestParseScenario:
             sw.parse_scenario(minimal_text(taregt_set=["adult"]))
         assert "taregt_set" in str(info.value)
 
+    @pytest.mark.parametrize("schedule, key", [
+        ({"kind": "constant", "matrix": "M", "extension": "cycle"}, "extension"),
+        ({"kind": "explicit", "sequence": ["M"], "extention": "cycle"}, "extention"),
+        ({"kind": "explicit", "sequence": ["M"], "length": 10}, "length"),
+        ({"kind": "random", "probabilities": {"M": 1.0}, "lenght": 10}, "lenght"),
+    ], ids=["constant", "explicit misspelled", "explicit length", "random misspelled"])
+    def test_unknown_schedule_key(self, schedule, key):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(schedule=schedule))
+        assert (info.value.location, info.value.detail) == ("schedule", f"unknown keys [{key!r}]")
+
     def test_unknown_matrix_in_schedule(self):
         with pytest.raises(sw.UnknownMatrixError):
             sw.parse_scenario(minimal_text(schedule={"kind": "constant", "matrix": "Q"}))
