@@ -300,8 +300,8 @@ class DiscreteDistribution:
     `probs` maps support points to probabilities (exact zeros are omitted);
     `tail_mass` is the probability neglected past the truncation horizon (for
     an occupancy distribution with a closed tail, that of an occupancy beyond
-    the last atom), so the stored probabilities plus the tail account for all
-    the mass.
+    the last atom; for any occupancy distribution, plus the mass its band cut
+    off), so the stored probabilities plus the tail account for all the mass.
     """
 
     probs: dict[int, float]

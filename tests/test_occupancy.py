@@ -485,6 +485,98 @@ class TestClosedTail:
         assert dist.pmf(0) == pytest.approx(1.0, rel=1e-12)
 
 
+def _joint_atoms(schedule, v, target, **kw):
+    """Occupancy atoms and tail from evolve_joint's full tables: each step's
+    table with the target rows moved up one, against that step's absorption
+    vector, and the mass alive at the last table."""
+    table = sw.evolve_joint(schedule, v, target, **kw)
+    atoms = np.zeros(table.horizon + 1)
+    for t, rows in enumerate(table.values[:-1]):
+        lifted = np.zeros((t + 2, table.d))
+        lifted[1:] += rows * target.mask
+        lifted[:-1] += rows * (1.0 - target.mask)
+        atoms[: t + 2] += lifted @ schedule.absorption_at(table.start + t)
+    return atoms, table.mass(table.start + table.horizon)
+
+
+class TestBand:
+    """occupancy_distribution steps only the rows of its table that carry
+    mass; the reference is evolve_joint, which keeps every row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 60), st.integers(0, 25),
+           st.sampled_from(["hold_last", "cycle"]), st.sampled_from(["random", "empty", "full"]), st.booleans())
+    def test_closed_chains_within_tail_mass_of_the_full_table(self, seed, d, prefix, start, extension, members,
+                                                              zero_held):
+        # TestClosedTail's chains with prefixes long enough to trim, under a
+        # max_horizon small enough that the allowance cuts visible mass
+        rng = np.random.default_rng(seed)
+        mats = [random_substochastic(rng, d, high=0.9) for _ in range(3)] + [np.zeros((d, d))]
+        seq = rng.integers(0, 3, size=prefix)
+        if zero_held:
+            seq[-1] = 3
+        sched = sw.Schedule.explicit(mats, seq, extension)
+        v = random_distribution(rng, d)
+        target = {"random": random_target(rng, d), "empty": sw.TargetSet.none(d),
+                  "full": sw.TargetSet.all_states(d)}[members]
+        banded = sw.occupancy_distribution(sched, v, target, start=start, max_horizon=400)
+        atoms, tail = _joint_atoms(sched, v, target, start=start, tail_tol=1e-15, max_horizon=400)
+        assert banded.tail_mass <= sw.DEFAULT_TAIL_TOL
+        assert banded.total() == pytest.approx(1.0, abs=1e-12)
+        reference = np.zeros(max(atoms.size, banded.max_support() + 1))
+        reference[: atoms.size] = atoms
+        # the reference is exact up to its own tail; 1e-14 is for rounding
+        assert np.abs(banded.to_array(reference.size) - reference).max() <= banded.tail_mass + tail + 1e-14
+
+    @pytest.mark.parametrize("members", [(0,), (1, 2), (0, 2)])
+    def test_a_trimmed_band_stays_within_tail_mass(self, members):
+        # 150 time-varying steps, then a zero matrix: nothing survives it, so
+        # the full table's atoms sum to 1 and the tail is the cut mass alone
+        rng = np.random.default_rng(12)
+        mats = [random_substochastic(rng, 3, low=0.88, high=0.92) for _ in range(3)] + [np.zeros((3, 3))]
+        sched = sw.Schedule.explicit(mats, np.append(rng.integers(0, 3, size=150), 3))
+        v, target = random_distribution(rng, 3), sw.TargetSet(3, frozenset(members))
+        banded = sw.occupancy_distribution(sched, v, target, max_horizon=1000)
+        atoms, tail = _joint_atoms(sched, v, target, max_horizon=1000)
+        assert tail == 0.0
+        assert 0.0 < banded.tail_mass <= sw.DEFAULT_TAIL_TOL / 2
+        assert len(banded.probs) < np.count_nonzero(atoms)
+        assert banded.total() == pytest.approx(1.0, abs=1e-12)
+        assert banded.max_support() < atoms.size
+        assert np.abs(banded.to_array(atoms.size) - atoms).max() <= banded.tail_mass
+
+    @pytest.mark.parametrize("extension, prefix", [("error", 200), ("hold_last", 60)])
+    def test_a_coarse_tolerance_cuts_much_and_keeps_the_contract(self, extension, prefix):
+        # at tail_tol = 1e-3 the band cuts a good share of the surviving
+        # mass, yet the loop stops, or raises with the surviving mass, where
+        # the full table does, and a closed result stays within tail_tol
+        rng = np.random.default_rng(3)
+        mats = [random_substochastic(rng, 3, low=0.88, high=0.92) for _ in range(3)]
+        sched = sw.Schedule.explicit(mats, rng.integers(0, 3, size=prefix), extension)
+        v, target, tol = random_distribution(rng, 3), sw.TargetSet(3, frozenset({0, 2})), 1e-3
+        last = sw.lifetime_distribution(_written_out(sched, 200), v, tail_tol=tol).max_support()
+        assert 4 * sw.occupancy._TRIM_EVERY < last < 200   # trimmed a few times; past a held prefix's end
+        with pytest.raises(sw.NonAbsorbingError) as banded:
+            sw.occupancy_distribution(sched, v, target, tail_tol=tol, max_horizon=last - 1)
+        with pytest.raises(sw.NonAbsorbingError) as full:
+            sw.lifetime_distribution(sched, v, tail_tol=tol, max_horizon=last - 1)
+        assert banded.value.surviving_mass == pytest.approx(full.value.surviving_mass, rel=1e-12)
+        dist = sw.occupancy_distribution(sched, v, target, tail_tol=tol, max_horizon=last)
+        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+        assert dist.tail_mass <= (tol if extension == "hold_last" else 1.5 * tol)
+
+    @pytest.mark.parametrize("members", [{0}, {1}], ids=["never counted", "always counted"])
+    def test_immortal_stage_raises_at_max_horizon_in_linear_time(self, members):
+        # stage 1 never dies and holds all the mass, so nothing is closed and
+        # the table is stepped to max_horizon; every row but one is an exact
+        # zero, which the band drops, so that takes a fraction of a second
+        # where the full table's quadratic cost took seconds
+        with pytest.raises(sw.NonAbsorbingError) as info:
+            sw.occupancy_distribution(sw.Schedule.constant([[0.5, 0.0], [0.0, 1.0]]), [0.0, 1.0],
+                                      sw.TargetSet(2, frozenset(members)), max_horizon=20_000)
+        assert info.value.horizon == 20_000
+
+
 ENGINES = {
     "lifetime_distribution": lambda s, v, target, **kw: sw.lifetime_distribution(s, v, **kw),
     "evolve_joint": sw.evolve_joint,
