@@ -386,15 +386,16 @@ def _first_negligible(masses: np.ndarray, t: int, order: int, tail_tol: float):
 
 
 def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, stages=lambda x: x, order=0,
-                closes=None):
+                closes=None, steps=None):
     """The one stepping loop of the exact engines; returns (state, tail).
 
     Step t lifts the state by the engine's pre-transition `lift`, calls
     keep(state, lifted, b) with the absorption vector b of the matrix B
     acting at time start + t, read from schedule.indices(start), and moves
-    on to lifted @ B'. Each engine keeps what it needs: the absorption
-    losses lifted @ b, or every state; `lifted` may be a reused buffer, so
-    keep must not hold on to it.
+    on to lifted @ B', or to lifted @ steps[k] when the engine gives its own
+    step for each schedule matrix k. Each engine keeps what it needs: the
+    absorption losses lifted @ b, or every state; `lifted` may be a reused
+    buffer, so keep must not hold on to it.
     The loop stops before step t once the surviving mass, stages(state) as
     rows over the d stages, times (t+1)**order is below tail_tol (order 0
     for the distributions; see moment_tables for why moments weight the
@@ -406,7 +407,7 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, stage
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     tail = _homogeneous_tail(schedule, start) if closes else None
-    transposed = [m.T for m in schedule.matrices]
+    transposed = [m.T for m in schedule.matrices] if steps is None else steps
     indices = schedule.indices(start)
     stop = min(tail[0], max_horizon) if tail and closes(tail[1]) else max_horizon
     t = 0

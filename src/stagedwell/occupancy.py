@@ -221,9 +221,13 @@ def evolve_joint(
 
     Stops once the surviving mass falls below tail_tol (the final,
     below-tolerance table is included); raises NonAbsorbingError if that has
-    not happened within max_horizon steps.
+    not happened within max_horizon steps. A chain that never absorbs would
+    keep about max_horizon**2 / 2 rows before that, so the stage vector is
+    stepped first, in O(d) memory, to raise there instead.
     """
     schedule, rows, order, lift = _target_first(schedule, initial, target)
+    _recurrence(schedule, rows.sum(axis=0), start, tail_tol, max_horizon, lift=lambda x: x,
+                keep=lambda *_: None, closes=lambda p: True)
     back = np.argsort(order)
     tables = []
 
@@ -366,13 +370,31 @@ def _binomial_shift(order: int) -> np.ndarray:
     return np.tril(pascal, -1)
 
 
-def _moment_start(chain, initial, target: TargetSet, order: int):
+def _moment_start(chain, initial, target: TargetSet, order: int, absorbed: bool = False):
     """The moment stack M of p(0, start), rows 1..order zero, and the lift
-    A = M + (L @ M) * r of a moment stack, or of a batch of them."""
-    M = np.zeros((order + 1, chain.d))
-    M[0] = _occupancy_start(chain, initial, target)[0]
-    shift, r = _binomial_shift(order), target.mask
+    A = M + (L @ M) * r of a moment stack, or of a batch of them.
+
+    With `absorbed`, M has one more column, the moments of the mass absorbed
+    so far, which the lift leaves alone and _absorbing_step carries on.
+    """
+    M = np.zeros((order + 1, chain.d + absorbed))
+    M[0, : chain.d] = _occupancy_start(chain, initial, target)[0]
+    shift, r = _binomial_shift(order), np.append(target.mask, [0.0] * absorbed)
     return M, lambda M: M + (shift @ M) * r
+
+
+def _absorbing_step(U, b) -> np.ndarray:
+    """The step of a moment stack with an absorbed column (see _moment_start):
+    U' bordered by the absorption column b, which adds lifted @ b to the
+    absorbed moments, and a 1, which keeps them. The absorbed moments thus
+    come out of the same matrix product as the stack, so occupancy_moments
+    and a batch of stacks stepped together (randomenv) compute them alike.
+    """
+    d = U.shape[0]
+    step = np.eye(d + 1)
+    step[:d, :d] = U.T
+    step[:d, d] = b
+    return step
 
 
 def _closed_moments(M, period, r):
@@ -482,27 +504,25 @@ def occupancy_moments(
     """Raw moments E[occupancy^k], k = 1..order, without storing tables.
 
     Streams the same stacked recurrence as moment_tables, adding each step's
-    absorption losses directly into the moment accumulators, and uses the
-    same moment-aware stopping rule (see moment_tables), so the truncation
-    error in each reported moment is of order tail_tol. A hold-last or cycle
-    schedule whose weighted mass is not yet negligible where it becomes
-    homogeneous (see _homogeneous_tail) is closed there exactly by
-    _closed_moments, with no truncation error.
+    absorption losses into one more column of the stack (_absorbing_step),
+    and uses the same moment-aware stopping rule (see moment_tables), so the
+    truncation error in each reported moment is of order tail_tol. A
+    hold-last or cycle schedule whose weighted mass is not yet negligible
+    where it becomes homogeneous (see _homogeneous_tail) is closed there
+    exactly by _closed_moments, with no truncation error.
     """
     order = int(order)
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    acc = np.zeros(order + 1)
-
-    def keep(M, A, b):
-        acc[:] += A @ b
-
+    d = schedule.d
+    steps = [_absorbing_step(U, b) for U, b in zip(schedule.matrices, schedule._absorptions)]
     with _overflow_named(order):
-        M, lift = _moment_start(schedule, initial, target, order)
-        M, tail = _recurrence(schedule, M, start, tail_tol, max_horizon, lift, keep, lambda M: M[0], order,
-                              closes=lambda period: True)
+        M, lift = _moment_start(schedule, initial, target, order, absorbed=True)
+        M, tail = _recurrence(schedule, M, start, tail_tol, max_horizon, lift, lambda *_: None,
+                              lambda M: M[0, :d], order, closes=lambda period: True, steps=steps)
+        acc = M[:, d]
         if tail:
-            acc += _closed_moments(M, tail[1], target.mask)
+            acc = acc + _closed_moments(M[:, :d], tail[1], target.mask)
     return [float(x) for x in acc[1:]]
 
 

@@ -11,12 +11,16 @@ per-sequence means). By the law of total variance the two parts sum to the
 total, and with the plug-in estimators used here the identity holds exactly
 up to roundoff for any finite sample of sequences.
 
-two_level_stats advances all sequences of a call together as one stacked
-moment recurrence, and each sequence draws its condition indices lazily, in
-chunks, only as far as its own truncation rule follows it. The seeding
-contract is unchanged: sequence i is the one sample_schedule draws from
-np.random.default_rng((*seed, i)), since chunked draws from a generator give
-the indices of one bulk draw.
+two_level_stats advances all sequences of a call together. Each carries its
+order-2 moment stack with one more column, the moments of the mass absorbed
+so far (Caswell 2011's Markov chains with rewards), so a step of every
+sequence is one stacked product with its drawn condition's step, each of the
+shape occupancy_moments takes, and one sequence's moments are bit for bit
+those of occupancy_moments on its steps. Each sequence draws its condition
+indices lazily, in chunks, only as far as its own truncation rule follows
+it. The seeding contract is unchanged: sequence i is the one
+sample_schedule draws from np.random.default_rng((*seed, i)), since chunked
+draws from a generator give the indices of one bulk draw.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .chain import (
     validate_matrix,
 )
 from .errors import InvalidDistributionError, NonAbsorbingError, StagedwellError
-from .occupancy import TargetSet, _moment_start
+from .occupancy import TargetSet, _absorbing_step, _moment_start
 
 # Mixing probabilities are dimensionless model inputs, not printed data, so
 # they are held to a much tighter sum tolerance than matrix columns.
@@ -135,31 +139,35 @@ def _seed_entropy(seed) -> tuple[int, ...]:
 def _sequence_moments(spec, M, lift, n_sequences, base, start, tail_tol, max_horizon, length):
     """First and second raw occupancy moments of every sampled sequence.
 
-    Runs the order-2 step of occupancy_moments from the stack M and lift
-    of _moment_start: A = lift(M), then acc += A b and M <- A U', on
-    stacked arrays whose row s belongs to sequence live[s]. A sequence
-    leaves the live rows once its own stopping rule is met. It draws
-    condition indices from default_rng((*base, i)) in chunks, never past
-    `length`, and holds the last one beyond it. Returns the first and
-    second moments and the number of sequences that held.
+    Runs the step of occupancy_moments on the stack M and lift of
+    _moment_start with its absorbed column, whose last column holds the
+    absorbed moments: M <- lift(M) @ S_k, S_k the _absorbing_step of the
+    condition k drawn, on a stack of M whose row s belongs to sequence
+    live[s]. Each sequence's product has the shape of the single one in
+    occupancy_moments, so its moments are those of occupancy_moments on its
+    own steps, bit for bit, and its stopping mass, the sum of the first d
+    entries of its row 0, is the one that engine stops on. A sequence leaves
+    the live rows once its own stopping rule is met. It draws condition
+    indices from default_rng((*base, i)) in chunks, never past `length`,
+    and holds the last one beyond it. Returns the first and second moments
+    and the number of sequences that held.
     """
-    U_t = np.stack(spec.matrices).transpose(0, 2, 1)
-    b = np.stack([absorption_vector(m) for m in spec.matrices])
+    d = spec.d
+    steps = np.stack([_absorbing_step(U, absorption_vector(U)) for U in spec.matrices])
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
     M = np.repeat(M[np.newaxis], n_sequences, axis=0)
-    acc = np.zeros((n_sequences, 3))
     drawn = np.empty((n_sequences, 0), dtype=np.intp)
-    mass = M[:, 0].sum(axis=1)
+    mass = M[:, 0, :d].sum(axis=1)
     held = 0
     t = 0
     while True:
         weight = float(t + 1) ** 2
         if mass.min() * weight < tail_tol:
             going = mass * weight >= tail_tol
-            moments[live[~going]] = acc[~going]
-            live, M, acc, drawn, mass = live[going], M[going], acc[going], drawn[going], mass[going]
+            moments[live[~going]] = M[~going, :, d]
+            live, M, drawn, mass = live[going], M[going], drawn[going], mass[going]
             if live.size == 0:
                 return moments[:, 1], moments[:, 2], held
         if t >= max_horizon:
@@ -171,11 +179,8 @@ def _sequence_moments(spec, M, lift, n_sequences, base, start, tail_tol, max_hor
             size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
             chunk = [rngs[i].choice(spec.n_conditions, size=size, p=spec.probabilities) for i in live]
             drawn = np.concatenate([drawn, np.array(chunk, dtype=np.intp)], axis=1)
-        k = drawn[:, n]
-        A = lift(M)
-        acc += (A @ b[k][:, :, None])[:, :, 0]
-        M = A @ U_t[k]
-        mass = M[:, 0].sum(axis=1)
+        M = lift(M) @ steps[drawn[:, n]]
+        mass = M[:, 0, :d].sum(axis=1)
         t += 1
 
 
@@ -218,7 +223,7 @@ def two_level_stats(
     start = int(start)
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    M, lift = _moment_start(spec, initial, target, 2)
+    M, lift = _moment_start(spec, initial, target, 2, absorbed=True)
     means, second, held = _sequence_moments(
         spec, M, lift, n_sequences, _seed_entropy(seed), start,
         tail_tol, max_horizon, length,

@@ -355,14 +355,14 @@ def format_number(x) -> str:
     return s
 
 
-def _rounded(x):
-    """A JSON-ready copy of x: floats at 12 significant digits (None if not finite), keys as strings."""
+def _json_ready(x):
+    """A JSON-ready copy of x: floats at full precision (None if not finite), keys as strings."""
     if isinstance(x, dict):
-        return {str(k): _rounded(v) for k, v in x.items()}
+        return {str(k): _json_ready(v) for k, v in x.items()}
     if isinstance(x, list):
-        return [_rounded(v) for v in x]
+        return [_json_ready(v) for v in x]
     if isinstance(x, float):
-        return float(f"{x:.12g}") if math.isfinite(x) else None
+        return x if math.isfinite(x) else None
     return x
 
 
@@ -425,7 +425,8 @@ def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> N
     fmt "csv": a header line plus one row per record, numbers at 12
     significant digits; distribution exports end with a tail_mass row and
     metadata key/value pairs are appended as trailing rows. fmt "json": one
-    object with the same content.
+    object with the same content, floats at full (repr) precision, so that
+    the exported atoms of a distribution sum as the engine's do.
     """
     metadata = [tuple(item) for item in metadata]
     if fmt == "csv":
@@ -438,7 +439,7 @@ def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> N
         _, _, doc = _export_parts(result)
         if metadata:
             doc["metadata"] = dict(metadata)
-        text = json.dumps(_rounded(doc), indent=2, allow_nan=False) + "\n"
+        text = json.dumps(_json_ready(doc), indent=2, allow_nan=False) + "\n"
     else:
         raise ScenarioError(f"unknown export format {fmt!r} (expected 'csv' or 'json')")
     _write_text(text, destination)

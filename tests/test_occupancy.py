@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ class TestEvolveJoint:
         sched = sw.Schedule.constant(np.eye(2))
         with pytest.raises(sw.NonAbsorbingError):
             sw.evolve_joint(sched, [1.0, 0.0], sw.TargetSet.none(2), max_horizon=50)
+
+    def test_immortal_stage_raises_before_keeping_tables(self):
+        # stage 1 never dies, so keeping every table to max_horizon would
+        # hold about max_horizon**2 / 2 rows (200 MB here) before raising
+        tracemalloc.start()
+        try:
+            with pytest.raises(sw.NonAbsorbingError) as info:
+                sw.evolve_joint(sw.Schedule.constant([[0.5, 0.0], [0.0, 1.0]]), [0.0, 1.0],
+                                sw.TargetSet(2, frozenset({1})), max_horizon=5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.horizon == 5000
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("members", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)],
                              ids=lambda m: "".join(map(str, m)) or "none")

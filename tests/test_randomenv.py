@@ -177,6 +177,50 @@ class TestTwoLevelStats:
         for field, value in expected.items():
             assert getattr(stats, field) == pytest.approx(value, rel=1e-12, abs=1e-15), field
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_sequence_reference_with_more_stages_than_conditions(self, seed):
+        # d = 8 stages and K = 5 conditions, so each sequence's bordered
+        # (d + 1) x (d + 1) step is gathered where d != K, and the stopping
+        # mass sums a row of 8, where numpy's pairwise sum begins to unroll
+        d, n_cond, start, length, n_sequences = 8, 5, 3, 7, 6
+        rng = np.random.default_rng((seed, 13))
+        mats = tuple(random_substochastic(rng, d) for _ in range(n_cond))
+        spec = sw.RandomEnvironmentSpec(tuple(f"c{i}" for i in range(n_cond)), mats,
+                                        rng.dirichlet(np.ones(n_cond)))
+        v = random_distribution(rng, d)
+        target = sw.TargetSet(d, frozenset({1, 4, 6}))
+        stats = sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=seed,
+                                   start=start, sample_length=length)
+        means, variances = np.empty(n_sequences), np.empty(n_sequences)
+        for i in range(n_sequences):
+            sched = sw.sample_schedule(spec, length, np.random.default_rng((seed, i)))
+            listed = sw.Schedule(sched.matrices, [sched.index_at(n) for n in range(2000)], "error")
+            m1, m2 = sw.occupancy_moments(listed, v, target, start=start, order=2)
+            means[i], variances[i] = m1, max(m2 - m1 * m1, 0.0)
+        mean = means.mean()
+        # each sequence's moments are occupancy_moments' bit for bit, so the
+        # mean of means sums the same floats in the same order
+        assert stats.mean_of_means == mean
+        assert stats.mean_within_variance == pytest.approx(variances.mean(), rel=1e-12)
+        assert stats.between_variance == pytest.approx(
+            max((means * means).mean() - mean**2, 0.0), rel=1e-12, abs=1e-15)
+        assert stats.total_variance == pytest.approx(
+            max((variances + means * means).mean() - mean**2, 0.0), rel=1e-12)
+
+    @pytest.mark.parametrize("condition", range(3))
+    def test_one_condition_matches_constant_schedule(self, condition):
+        # every sequence is the constant schedule, so the means agree and
+        # the between-sequence variance is roundoff in mean(m^2) - mean^2
+        fulmar, config = sw.builtin_fulmar(), sw.builtin_fulmar_scenario()
+        label, U = fulmar.conditions()[condition]
+        spec = sw.RandomEnvironmentSpec((label,), (U,), np.array([1.0]))
+        stats = sw.two_level_stats(spec, config.initial, config.target_set(),
+                                   n_sequences=200, seed=4)
+        m1, _ = sw.occupancy_moments(sw.Schedule.constant(U), config.initial,
+                                     config.target_set(), order=2)
+        assert stats.mean_of_means == pytest.approx(m1, rel=1e-10)
+        assert stats.between_variance <= 1e-12 * stats.mean_of_means**2
+
     def test_non_absorbing_error_names_lowest_failing_sequence(self):
         # each sequence holds its first draw: the identity never absorbs,
         # the zero matrix kills everyone in one step

@@ -275,14 +275,16 @@ class TestExportResults:
         assert "n_samples,4" in lines
         assert "mean,1.5" in lines
 
-    def test_json_rounds_to_twelve_digits(self):
-        dist = sw.OccupancyDistribution({0: 1 / 3, 1: 2 / 3}, tail_mass=0.0)
+    def test_json_keeps_full_precision(self):
+        # floats round-trip exactly, so the exported atoms sum as the
+        # engine's do; CSV stays at 12 significant digits
+        dist = sw.OccupancyDistribution({0: 1 / 3, 1: 2 / 3 - 1e-13}, tail_mass=1e-13)
         buf = io.StringIO()
         sw.export_results(dist, "json", buf)
         doc = json.loads(buf.getvalue())
         assert doc["kind"] == "occupancy"
-        assert doc["probs"]["0"] == 0.333333333333
-        assert doc["tail_mass"] == 0.0
+        assert doc["probs"] == {"0": 1 / 3, "1": 2 / 3 - 1e-13}
+        assert doc["tail_mass"] == 1e-13
 
     def test_json_lifetime_kind(self):
         dist = sw.LifetimeDistribution({1: 1.0}, tail_mass=0.0)
