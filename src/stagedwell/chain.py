@@ -394,8 +394,7 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, stage
     acting at time start + t, read from schedule.indices(start), and moves
     on to lifted @ B', or to lifted @ steps[k] when the engine gives its own
     step for each schedule matrix k. Each engine keeps what it needs: the
-    absorption losses lifted @ b, or every state; `lifted` may be a reused
-    buffer, so keep must not hold on to it.
+    absorption losses lifted @ b, or every state.
     The loop stops before step t once the surviving mass, stages(state) as
     rows over the d stages, times (t+1)**order is below tail_tol (order 0
     for the distributions; see moment_tables for why moments weight the

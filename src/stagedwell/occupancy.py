@@ -123,39 +123,30 @@ def _occupancy_start(chain, initial, target: TargetSet) -> np.ndarray:
     return v[np.newaxis, :]
 
 
-def _target_first(schedule: Schedule, initial, target: TargetSet, head: int = 0):
+def _target_first(schedule: Schedule, initial, target: TargetSet):
     """The chain with its target stages first, and its occupancy-count lift.
 
-    Returns (schedule, p(0, start), order, lift): the schedule and initial
-    table over the stages taken in `order`, the target members and then the
-    rest, each in the caller's order, and the lift moving the target stages'
-    mass up one row in a. The table is preceded by `head` zero rows, which
-    the lift passes through unchanged. The lift copies the rows whole, then
-    the target block one row up, into one zero-initialised buffer that grows
-    by doubling, and returns a view of it, valid until the next call. Row
-    `head` of the target block is zeroed, and so are the rest's rows past
-    the last when the table has shrunk since the last call. The closed tail
+    Returns (schedule, table, order, lift): the schedule and initial table
+    over the stages taken in `order`, the target members and then the rest,
+    each in the caller's order, and the lift moving the target stages' mass
+    up one row in a. Row 0 of the table is passed through by the lift
+    unchanged and starts at zero; row 1 + a holds occupancy a, so the
+    initial table's row 1 is p(0, start). The lift appends one zero row and
+    copies the target block one row up into a new array. The closed tail
     does not depend on stage order and runs on this chain unchanged.
     """
     v = _occupancy_start(schedule, initial, target)[0]
     order = np.argsort(target.mask == 0, kind="stable")
     n_target, d = len(target.members), schedule.d
-    rows = np.zeros((head + 1, d))
-    rows[head] = v[order]
-    out, high = np.zeros((64, d)), 0
+    rows = np.zeros((2, d))
+    rows[1] = v[order]
+    zero = np.zeros((1, d))
 
     def lift(rows):
-        nonlocal out, high
-        a = rows.shape[0]
-        if out.shape[0] <= a:
-            out = np.zeros((2 * a, d))
-        elif a < high:
-            out[a:high, n_target:] = 0.0
-        high = a
-        out[:a] = rows
-        out[head + 1 : a + 1, :n_target] = rows[head:, :n_target]
-        out[head, :n_target] = 0.0
-        return out[: a + 1]
+        out = np.concatenate((rows, zero))
+        out[2:, :n_target] = rows[1:, :n_target]
+        out[1, :n_target] = 0.0
+        return out
 
     return schedule._permuted(order), rows, order, lift
 
@@ -232,7 +223,7 @@ def evolve_joint(
     tables = []
 
     def keep(rows, *_):
-        tables.append(rows[:, back])
+        tables.append(rows[1:, back])
         tables[-1].flags.writeable = False
 
     final, _ = _recurrence(schedule, rows, start, tail_tol, max_horizon, lift=lift, keep=keep)
@@ -312,7 +303,7 @@ def occupancy_distribution(
     occupancy beyond the last atom plus the cut mass, together below
     tail_tol, as the visit series stops at tail_tol less the cut mass.
     """
-    schedule, state, order, lift = _target_first(schedule, initial, target, head=1)
+    schedule, state, order, lift = _target_first(schedule, initial, target)
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     acc, ones = np.zeros(64), np.ones(schedule.d)
     lo, cut, steps = 0, 0.0, 0

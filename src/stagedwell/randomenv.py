@@ -7,9 +7,10 @@ randomness enters only through which sequence is drawn. two_level_stats
 averages the per-sequence answers over sampled sequences and splits the
 variance of the occupancy total into a within-sequence part (mean of the
 per-sequence variances) and a between-sequence part (variance of the
-per-sequence means). By the law of total variance the two parts sum to the
-total, and with the plug-in estimators used here the identity holds exactly
-up to roundoff for any finite sample of sequences.
+per-sequence means, taken about their mean). By the law of total variance
+the two parts sum to the total, and with the plug-in estimators used here
+the total is computed as that sum, so the identity holds as computed for any
+finite sample of sequences.
 
 two_level_stats advances all sequences of a call together. Each carries its
 order-2 moment stack with one more column, the moments of the mass absorbed
@@ -207,11 +208,11 @@ def two_level_stats(
     condition indices only as far as that, which leaves the indices, and so
     the results, those of drawing every sequence in full.
     NonAbsorbingError names the lowest sequence still alive after
-    max_horizon steps. The plug-in (divide by n) variance estimators make
-
-        total_variance == mean_within_variance + between_variance
-
-    an algebraic identity, not an approximation.
+    max_horizon steps. between_variance is the plug-in (divide by n)
+    variance of the means about their mean, so equal means give only the
+    square of their mean's rounding, not the cancellation noise of
+    mean(m^2) - mean^2, and total_variance is computed as
+    mean_within_variance + between_variance.
     """
     n_sequences = int(n_sequences)
     if n_sequences < 2:
@@ -231,8 +232,8 @@ def two_level_stats(
     variances = np.maximum(second - means * means, 0.0)
     mean_of_means = float(means.mean())
     mean_within = float(variances.mean())
-    between = max(float((means * means).mean()) - mean_of_means**2, 0.0)
-    total = max(float((variances + means * means).mean()) - mean_of_means**2, 0.0)
+    between = float(((means - mean_of_means) ** 2).mean())
+    total = mean_within + between
     cv = math.sqrt(total) / mean_of_means if mean_of_means != 0.0 else math.nan
     return TwoLevelStats(
         n_sequences=n_sequences,

@@ -87,6 +87,15 @@ class TestValidateDistribution:
         with pytest.raises(sw.InvalidDistributionError):
             sw.validate_distribution([0.5, 0.4])
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(sw.InvalidDistributionError, match=r"expected a 1-d vector, got shape \(1, 2\)"):
+            sw.validate_distribution([[0.5, 0.5]])
+
+    @pytest.mark.parametrize("raw", [[float("nan"), 1.0], [float("inf"), 0.0]], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, raw):
+        with pytest.raises(sw.InvalidDistributionError, match="entries must be finite"):
+            sw.validate_distribution(raw)
+
 
 class TestAbsorptionVector:
     def test_zero_matrix_kills_everyone(self):
@@ -149,6 +158,15 @@ class TestSchedule:
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError):
             sw.Schedule.explicit([np.zeros((2, 2)), np.zeros((3, 3))], [0, 1])
+
+    def test_rejects_no_matrices(self):
+        with pytest.raises(ValueError, match="a schedule needs at least one matrix"):
+            sw.Schedule((), [0])
+
+    @pytest.mark.parametrize("sequence", [[], [[0]]], ids=["empty", "2-d"])
+    def test_rejects_a_sequence_that_is_not_a_nonempty_list(self, sequence):
+        with pytest.raises(ValueError, match="sequence must be a non-empty 1-d list of matrix indices"):
+            sw.Schedule.explicit([[[0.5]]], sequence)
 
     def test_absorption_at_matches_matrix_at(self):
         rng = np.random.default_rng(11)

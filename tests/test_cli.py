@@ -292,6 +292,32 @@ class TestEnvSweep:
         assert lines[3].startswith("0.0,0.0,1.0,")
         assert "warning" not in err
 
+    def test_reports_a_failing_grid_point(self, capsys, tmp_path):
+        # the identity never absorbs, so the corner that always draws it
+        # fails, and the sweep goes on
+        path = tmp_path / "stuck.json"
+        path.write_text(json.dumps({
+            "states": ["out", "in"],
+            "matrices": {
+                "A": [[0.0, 0.0], [0.5, 0.5]],
+                "B": [[0.0, 0.0], [0.4, 0.4]],
+                "C": [[1.0, 0.0], [0.0, 1.0]],
+            },
+            "schedule": {"kind": "random", "probabilities": {"A": 0.4, "B": 0.3, "C": 0.3}},
+            "initial": [1.0, 0.0],
+            "target_set": ["in"],
+            "max_horizon": 100,
+        }))
+        code, out, err = run(capsys, ["env-sweep", "--scenario", str(path),
+                                      "--grid-step", "1.0", "--samples", "3"])
+        assert code == 0, err
+        assert err.splitlines() == [
+            "warning: grid point [0.0, 0.0, 1.0] failed: NonAbsorbingError: "
+            + str(sw.NonAbsorbingError(1.0, 100, context="sequence 0"))]
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[3] == "0.0,0.0,1.0,nan,nan,nan,nan"
+
     def test_honours_scenario_sequence_length(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({

@@ -43,6 +43,10 @@ class TestTargetSet:
         with pytest.raises(ValueError):
             sw.TargetSet(2, frozenset({2}))
 
+    def test_rejects_no_stages(self):
+        with pytest.raises(ValueError, match="need at least one stage"):
+            sw.TargetSet(0, frozenset())
+
     @pytest.mark.parametrize("member, named", [(1.7, "1.7"), ("1", "'1'"), (None, "None")])
     def test_rejects_non_integral_members(self, member, named):
         with pytest.raises(ValueError, match=f"target member {named} is not an integer"):
@@ -83,6 +87,12 @@ class TestEvolveJoint:
         sched, target = geom_setup()
         table = sw.evolve_joint(sched, GEOM_V, target)
         assert_allclose(table.joint(5, 2), np.zeros(2))
+
+    def test_rejects_a_time_out_of_range(self):
+        sched, target = geom_setup()
+        table = sw.evolve_joint(sched, GEOM_V, target, start=3)
+        with pytest.raises(ValueError, match=rf"time {4 + table.horizon} outside table range 3\.\.{3 + table.horizon}"):
+            table.joint(0, 4 + table.horizon)
 
     def test_marginal_sums_to_mass(self):
         rng = np.random.default_rng(3)
@@ -259,6 +269,14 @@ class TestMoments:
             for k in range(order + 1):
                 assert_allclose(
                     table.vector(k, n), joint.moment_vector(k, n), rtol=0, atol=1e-10)
+
+    def test_moment_table_rejects_a_time_or_order_out_of_range(self):
+        sched, target = geom_setup()
+        table = sw.moment_tables(sched, GEOM_V, target, order=2, start=2)
+        with pytest.raises(ValueError, match=rf"time 1 outside table range 2\.\.{2 + table.horizon}"):
+            table.vector(0, 1)
+        with pytest.raises(ValueError, match=r"moment order 3 outside 0\.\.2"):
+            table.vector(3, 2)
 
     def test_moment_table_zeroth_is_survival(self):
         sched, target = geom_setup()

@@ -45,6 +45,15 @@ class TestRandomEnvironmentSpec:
         with pytest.raises(sw.ColumnSumError):
             sw.RandomEnvironmentSpec(("a",), ([[1.5]],), np.array([1.0]))
 
+    def test_rejects_duplicate_labels(self):
+        m = random_substochastic(np.random.default_rng(0), 2)
+        with pytest.raises(ValueError, match=r"condition labels must be distinct, got \('a', 'a'\)"):
+            sw.RandomEnvironmentSpec(("a", "a"), (m, m), np.array([0.5, 0.5]))
+
+    def test_rejects_mismatched_matrix_shapes(self):
+        with pytest.raises(ValueError, match="all condition matrices must share one shape"):
+            sw.RandomEnvironmentSpec(("a", "b"), (np.zeros((2, 2)), np.zeros((3, 3))), np.array([0.5, 0.5]))
+
 
 class TestSampleSchedule:
     def test_deterministic_given_generator_state(self):
@@ -60,6 +69,11 @@ class TestSampleSchedule:
         sched = sw.sample_schedule(spec, 100_000, np.random.default_rng(2))
         freq = np.bincount(sched.sequence, minlength=2) / 100_000
         assert abs(freq[0] - 0.3) < 0.01
+
+    def test_rejects_zero_length(self):
+        spec = two_condition_spec(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="sequence length must be at least 1, got 0"):
+            sw.sample_schedule(spec, 0, np.random.default_rng(1))
 
     def test_degenerate_probabilities_give_constant_sequence(self):
         rng = np.random.default_rng(5)
@@ -171,8 +185,8 @@ class TestTwoLevelStats:
         expected = {
             "mean_of_means": mean,
             "mean_within_variance": variances.mean(),
-            "between_variance": max((means * means).mean() - mean**2, 0.0),
-            "total_variance": max((variances + means * means).mean() - mean**2, 0.0),
+            "between_variance": ((means - mean) ** 2).mean(),
+            "total_variance": variances.mean() + ((means - mean) ** 2).mean(),
         }
         for field, value in expected.items():
             assert getattr(stats, field) == pytest.approx(value, rel=1e-12, abs=1e-15), field
@@ -202,15 +216,14 @@ class TestTwoLevelStats:
         # mean of means sums the same floats in the same order
         assert stats.mean_of_means == mean
         assert stats.mean_within_variance == pytest.approx(variances.mean(), rel=1e-12)
-        assert stats.between_variance == pytest.approx(
-            max((means * means).mean() - mean**2, 0.0), rel=1e-12, abs=1e-15)
-        assert stats.total_variance == pytest.approx(
-            max((variances + means * means).mean() - mean**2, 0.0), rel=1e-12)
+        between = ((means - mean) ** 2).mean()
+        assert stats.between_variance == pytest.approx(between, rel=1e-12, abs=1e-15)
+        assert stats.total_variance == pytest.approx(variances.mean() + between, rel=1e-12)
 
     @pytest.mark.parametrize("condition", range(3))
     def test_one_condition_matches_constant_schedule(self, condition):
         # every sequence is the constant schedule, so the means agree and
-        # the between-sequence variance is roundoff in mean(m^2) - mean^2
+        # the between-sequence variance is only the rounding of their mean
         fulmar, config = sw.builtin_fulmar(), sw.builtin_fulmar_scenario()
         label, U = fulmar.conditions()[condition]
         spec = sw.RandomEnvironmentSpec((label,), (U,), np.array([1.0]))
@@ -220,6 +233,19 @@ class TestTwoLevelStats:
                                      config.target_set(), order=2)
         assert stats.mean_of_means == pytest.approx(m1, rel=1e-10)
         assert stats.between_variance <= 1e-12 * stats.mean_of_means**2
+
+    @pytest.mark.parametrize("condition", range(3))
+    def test_one_condition_has_no_between_variance(self, condition):
+        # the means are equal floats, so their spread about their mean is far
+        # below the cancellation noise (about 1e-16 * mean^2) of
+        # mean(m^2) - mean^2, and the variance split holds as computed
+        fulmar, config = sw.builtin_fulmar(), sw.builtin_fulmar_scenario()
+        label, U = fulmar.conditions()[condition]
+        spec = sw.RandomEnvironmentSpec((label,), (U,), np.array([1.0]))
+        stats = sw.two_level_stats(spec, config.initial, config.target_set(),
+                                   n_sequences=200, seed=4)
+        assert stats.between_variance <= 1e-20 * stats.mean_of_means**2
+        assert stats.total_variance == stats.mean_within_variance + stats.between_variance
 
     def test_non_absorbing_error_names_lowest_failing_sequence(self):
         # each sequence holds its first draw: the identity never absorbs,

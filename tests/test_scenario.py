@@ -125,6 +125,51 @@ class TestParseScenario:
         sched = config.build_schedule(np.random.default_rng(0))
         assert sched.prefix_length == 64
 
+    def test_bad_orientation(self):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(orientation="rows"))
+        assert info.value.location == "orientation"
+        assert "got 'rows'" in info.value.detail
+
+    def test_schedule_must_be_an_object(self):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(schedule="M"))
+        assert (info.value.location, info.value.detail) == ("schedule", "must be an object with a 'kind'")
+
+    def test_random_probabilities_must_be_nonempty(self):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(schedule={"kind": "random", "probabilities": {}}))
+        assert info.value.location == "schedule.probabilities"
+
+    def test_random_probabilities_name_known_matrices(self):
+        with pytest.raises(sw.UnknownMatrixError) as info:
+            sw.parse_scenario(minimal_text(schedule={"kind": "random", "probabilities": {"M": 0.5, "Q": 0.5}}))
+        assert info.value.name == "Q"
+
+    @pytest.mark.parametrize("weight", [True, "1", -1], ids=["true", "string", "negative"])
+    def test_random_weight_must_be_a_nonnegative_number(self, weight):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(schedule={"kind": "random", "probabilities": {"M": weight}}))
+        assert info.value.location == "schedule.probabilities.M"
+        assert info.value.detail == f"weight must be a nonnegative number, got {weight!r}"
+
+    @pytest.mark.parametrize("length", [0, True, 2.5], ids=["zero", "true", "fraction"])
+    def test_random_length_must_be_a_positive_integer(self, length):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(
+                schedule={"kind": "random", "probabilities": {"M": 1.0}, "length": length}))
+        assert (info.value.location, info.value.detail) == (
+            "schedule.length", f"must be a positive integer, got {length!r}")
+
+    def test_random_spec_of_a_deterministic_scenario(self):
+        with pytest.raises(sw.ScenarioError, match="scenario schedule is deterministic, not random"):
+            sw.parse_scenario(minimal_text()).random_spec()
+
+    def test_never_equal_to_another_type(self):
+        config = sw.parse_scenario(minimal_text())
+        assert config.__eq__(5) is NotImplemented
+        assert config != 5
+
     def test_random_probabilities_must_sum_to_one(self):
         with pytest.raises(sw.InvalidDistributionError):
             sw.parse_scenario(minimal_text(
@@ -220,6 +265,10 @@ class TestFormatNumber:
     def test_nan(self):
         assert format_number(float("nan")) == "nan"
 
+    def test_infinities(self):
+        assert format_number(float("inf")) == "inf"
+        assert format_number(float("-inf")) == "-inf"
+
 
 class TestExportResults:
     def test_point_mass_occupancy_csv(self):
@@ -297,6 +346,10 @@ class TestExportResults:
         dist = sw.OccupancyDistribution({0: 1.0}, tail_mass=0.0)
         sw.export_results(dist, "csv", out)
         assert out.read_text().startswith("a,probability\n")
+
+    def test_unsupported_result_type(self):
+        with pytest.raises(sw.ScenarioError, match="cannot export a result of type dict"):
+            sw.export_results({"mean": 1.0}, "csv", io.StringIO())
 
     def test_unknown_format(self):
         with pytest.raises(sw.ScenarioError):
