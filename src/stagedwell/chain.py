@@ -385,41 +385,36 @@ def _first_negligible(masses: np.ndarray, t: int, order: int, tail_tol: float):
     return None
 
 
-def _recurrence(schedule, state, start, tail_tol, max_horizon, lift, keep, stages=lambda x: x, order=0,
-                closes=None, steps=None):
+def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=None, order=0, closes=False):
     """The one stepping loop of the exact engines; returns (state, tail).
 
-    Step t lifts the state by the engine's pre-transition `lift`, calls
-    keep(state, lifted, b) with the absorption vector b of the matrix B
-    acting at time start + t, read from schedule.indices(start), and moves
-    on to lifted @ B', or to lifted @ steps[k] when the engine gives its own
-    step for each schedule matrix k. Each engine keeps what it needs: the
-    absorption losses lifted @ b, or every state.
-    The loop stops before step t once the surviving mass, stages(state) as
-    rows over the d stages, times (t+1)**order is below tail_tol (order 0
-    for the distributions; see moment_tables for why moments weight the
-    mass), and raises NonAbsorbingError if that has not happened within
-    max_horizon steps; tail is then None. If closes(period) says that the
-    engine can close the schedule's homogeneous tail (t0, period) (see
-    _homogeneous_tail), the loop stops at t0 instead, raises as
-    _check_absorbs does, and returns that tail for the engine to close.
+    Step t calls keep(state), if given, and moves on to advance(state, k),
+    the engine's whole step for the matrix k acting at time start + t, read
+    from schedule.indices(start). The first d entries of every state are
+    its surviving stage vector. The loop stops before step t once their
+    mass times (t+1)**order is below tail_tol (order 0 for the
+    distributions; see moment_tables for why moments weight the mass), and
+    raises NonAbsorbingError if that has not happened within max_horizon
+    steps; tail is then None. If the engine `closes` the schedule's
+    homogeneous tail (t0, period) (see _homogeneous_tail), the loop stops
+    at t0 instead, raises as _check_absorbs does, and returns that tail for
+    the engine to close.
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     tail = _homogeneous_tail(schedule, start) if closes else None
-    transposed = [m.T for m in schedule.matrices] if steps is None else steps
-    indices = schedule.indices(start)
-    stop = min(tail[0], max_horizon) if tail and closes(tail[1]) else max_horizon
+    indices, d = schedule.indices(start), schedule.d
+    stop = min(tail[0], max_horizon) if tail else max_horizon
     t = 0
-    while not _negligible(surviving := float(stages(state).sum()), t, order, tail_tol):
+    while not _negligible(surviving := float(state.ravel()[:d].sum()), t, order, tail_tol):
         if t >= stop:
             if t >= max_horizon:
                 raise NonAbsorbingError(surviving, max_horizon)
-            _check_absorbs(tail, stages(state).reshape(-1, schedule.d).sum(axis=0), order, tail_tol, max_horizon)
+            _check_absorbs(tail, state.ravel()[:d], order, tail_tol, max_horizon)
             return state, tail
         k = next(indices)
-        lifted = lift(state)
-        keep(state, lifted, schedule._absorptions[k])
-        state = lifted @ transposed[k]
+        if keep:
+            keep(state)
+        state = advance(state, k)
         t += 1
     return state, None
 
@@ -539,30 +534,29 @@ def _segment_tail(x, p, step, last, ends=None, head=0):
     return rows, n
 
 
-def _kept_states(schedule, state, start, lift, stages, order, tail_tol, max_horizon) -> np.ndarray:
-    """Every state of _recurrence run with `lift`, `stages` and `order`,
-    from `state` to the one at which the stopping rule ends the loop, as
-    one array of shape (steps + 1, *state.shape).
+def _kept_states(schedule, state, start, advance, order, tail_tol, max_horizon) -> np.ndarray:
+    """Every state of _recurrence run with `advance` and `order`, from
+    `state` to the one at which the stopping rule ends the loop, as one
+    array of shape (steps + 1, *state.shape).
 
     A hold-last or cycle schedule whose state has at most MAX_SEGMENT_STATES
     entries is stepped only to where it turns homogeneous (see
-    _homogeneous_tail). The rest is evaluated by _segment_tail, to the same
-    horizon and with the same NonAbsorbingError; stages(state) must be the
-    first d entries of a state."""
+    _homogeneous_tail). The rest is evaluated by _segment_tail, which
+    applies `advance` to a batch of states (a leading axis), to the same
+    horizon and with the same NonAbsorbingError."""
     kept = []
-    closes = (lambda period: True) if state.size <= MAX_SEGMENT_STATES else None
-    final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, lift,
-                              lambda x, *_: kept.append(x), stages, order, closes)
+    final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance, kept.append, order,
+                              state.size <= MAX_SEGMENT_STATES)
     if tail is None:
         return np.array(kept + [final])
     (t0, period), d = tail, schedule.d
     last = int(max_horizon) - t0
-    transposed = [H.T for H in period]
+    phases = list(itertools.islice(schedule.indices(int(start) + t0), len(period)))
 
     def ends(rows, j):
         return _first_negligible(rows[:, :d].sum(axis=1), t0 + j, order, tail_tol)
 
-    rows, n = _segment_tail(final, len(period), lambda X, m: lift(X) @ transposed[m], last, ends, len(kept))
+    rows, n = _segment_tail(final, len(period), lambda X, m: advance(X, phases[m]), last, ends, len(kept))
     if n is None:   # the rule held at no step up to max_horizon, though _check_absorbs found one
         raise NonAbsorbingError(float(rows[len(kept) + last, :d].sum()), max_horizon)
     states = rows[: len(kept) + n + 1].reshape(-1, *state.shape)
@@ -592,7 +586,7 @@ def lifetime_distribution(
     (see _kept_states), to the same horizon and with the same errors.
     """
     w = validate_distribution(initial, schedule.d)
-    states = _kept_states(schedule, w, start, lambda w: w, lambda w: w, 0, tail_tol, max_horizon)
+    states = _kept_states(schedule, w, start, lambda w, k: w @ schedule.matrices[k].T, 0, tail_tol, max_horizon)
     losses = np.array(schedule._absorptions)[list(itertools.islice(schedule.indices(start), len(states) - 1))]
     deaths = np.einsum("ij,ij->i", states[:-1], losses)
     probs = {n: died for n, died in enumerate(deaths.tolist(), start=1) if died != 0.0}

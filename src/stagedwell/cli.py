@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from .chain import lifetime_distribution
+from .chain import absorption_vector, lifetime_distribution
 from .errors import StagedwellError
 from .occupancy import occupancy_distribution, occupancy_moments, summary_stats
-from .randomenv import simplex_sweep, two_level_stats
+from .randomenv import simplex_sweep
 from .scenario import (
     ScenarioConfig,
     _write_text,
@@ -109,10 +109,8 @@ def cmd_validate(args) -> int:
         "states: " + ", ".join(config.states.labels),
     ]
     for name, matrix in config.matrices.items():
-        sums = matrix.sum(axis=0)
-        lines.append(
-            f"{name}: column sums {_fmt_vector(sums)}; absorption {_fmt_vector(1.0 - sums)}"
-        )
+        lines.append(f"{name}: column sums {_fmt_vector(matrix.sum(axis=0))}; "
+                     f"absorption {_fmt_vector(absorption_vector(matrix))}")
     lines.append("target_set: " + (", ".join(config.target_labels) or "(empty)"))
     lines.append("initial: " + _fmt_vector(config.initial))
     lines.append(f"start {config.start}, tail_tol {format_number(config.tail_tol)}, "
@@ -247,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("env-sweep", help="two-level statistics over a simplex of condition mixes")
     _add_common(p)
-    p.add_argument("--samples", type=_pos_int, default=2000, help="environment sequences per grid point")
+    p.add_argument("--samples", type=_checked(int, lambda x: x >= 2, "be at least 2"), default=2000,
+                   help="environment sequences per grid point")
     p.add_argument("--grid-step", type=_grid_float, default=0.05)
     p.set_defaults(func=cmd_env_sweep)
 

@@ -129,17 +129,18 @@ def _target_first(schedule: Schedule, initial, target: TargetSet):
     Returns (schedule, table, order, lift): the schedule and initial table
     over the stages taken in `order`, the target members and then the rest,
     each in the caller's order, and the lift moving the target stages' mass
-    up one row in a. Row 0 of the table is passed through by the lift
-    unchanged and starts at zero; row 1 + a holds occupancy a, so the
-    initial table's row 1 is p(0, start). The lift appends one zero row and
-    copies the target block one row up into a new array. The closed tail
-    does not depend on stage order and runs on this chain unchanged.
+    up one row in a. Row 1 + a of the table holds occupancy a, so the
+    initial table's row 1 is p(0, start). Row 0 is the surviving stage
+    vector, the sum of all occupancy rows, which _recurrence stops on: it
+    starts as p(0, start) too and is passed through by the lift unchanged,
+    so the step's product keeps it the sum. The lift appends one zero row
+    and copies the target block one row up into a new array. The closed
+    tail does not depend on stage order and runs on this chain unchanged.
     """
     v = _occupancy_start(schedule, initial, target)[0]
     order = np.argsort(target.mask == 0, kind="stable")
     n_target, d = len(target.members), schedule.d
-    rows = np.zeros((2, d))
-    rows[1] = v[order]
+    rows = np.tile(v[order], (2, 1))
     zero = np.zeros((1, d))
 
     def lift(rows):
@@ -213,20 +214,22 @@ def evolve_joint(
     Stops once the surviving mass falls below tail_tol (the final,
     below-tolerance table is included); raises NonAbsorbingError if that has
     not happened within max_horizon steps. A chain that never absorbs would
-    keep about max_horizon**2 / 2 rows before that, so the stage vector is
-    stepped first, in O(d) memory, to raise there instead.
+    keep about max_horizon**2 / 2 rows before that, so the stage vector,
+    row 0 of the table, is stepped first, in O(d) memory, to raise there
+    instead.
     """
     schedule, rows, order, lift = _target_first(schedule, initial, target)
-    _recurrence(schedule, rows.sum(axis=0), start, tail_tol, max_horizon, lift=lambda x: x,
-                keep=lambda *_: None, closes=lambda p: True)
+    _recurrence(schedule, rows[0], start, tail_tol, max_horizon, lambda x, k: x @ schedule.matrices[k].T,
+                closes=True)
     back = np.argsort(order)
     tables = []
 
-    def keep(rows, *_):
+    def keep(rows):
         tables.append(rows[1:, back])
         tables[-1].flags.writeable = False
 
-    final, _ = _recurrence(schedule, rows, start, tail_tol, max_horizon, lift=lift, keep=keep)
+    final, _ = _recurrence(schedule, rows, start, tail_tol, max_horizon,
+                           lambda rows, k: lift(rows) @ schedule.matrices[k].T, keep)
     keep(final)
     return JointOccupancyTable(start=int(start), values=tuple(tables))
 
@@ -290,12 +293,13 @@ def occupancy_distribution(
     The table is carried as a band of rows lo, lo + 1, ... Every
     _TRIM_EVERY steps the leading and trailing rows whose combined mass fits
     a running allowance of tail_tol * t / (2 * max_horizon) at step t are
-    cut off, so no more than tail_tol / 2 is cut over a run. Their stage
-    vector is still transported, in one row ahead of the band that is never
-    lifted, so the loop stops, and raises NonAbsorbingError, at the step and
-    with the surviving mass of the full table. The cut mass is part of
-    tail_mass: for a recurrence result tail_mass is the band's mass alive at
-    the horizon plus the cut mass, so atoms plus tail_mass still sum to 1.
+    cut off, so no more than tail_tol / 2 is cut over a run. The table's
+    row 0, the surviving stage vector (see _target_first), still holds
+    their mass, so the loop stops, and raises NonAbsorbingError, at the
+    step and with the surviving mass of the full table. The cut mass is
+    part of tail_mass: for a recurrence result tail_mass is the band's mass
+    alive at the horizon plus the cut mass, so atoms plus tail_mass still
+    sum to 1.
 
     A hold-last or cycle schedule whose mass is not yet negligible where it
     becomes homogeneous (see _homogeneous_tail) is closed there exactly by
@@ -308,11 +312,11 @@ def occupancy_distribution(
     acc, ones = np.zeros(64), np.ones(schedule.d)
     lo, cut, steps = 0, 0.0, 0
 
-    def banded(state):
-        # cuts the edge rows that fit the allowance, their stage vectors added
-        # into row 0; they never all fit, as the surviving mass, at least
-        # tail_tol, is at most the band's plus cut
-        nonlocal lo, cut, steps
+    def advance(state, k):
+        # first cuts the edge rows that fit the allowance, keeping row 0;
+        # they never all fit, as the surviving mass, at least tail_tol, is at
+        # most the band's plus cut
+        nonlocal acc, lo, cut, steps
         steps += 1
         if steps % _TRIM_EVERY == 0:
             allowance = tail_tol * steps / (2 * max_horizon)
@@ -324,19 +328,18 @@ def occupancy_distribution(
                 cut, j = cut + mass[-1 - j], j + 1
             if i + j:
                 kept = state[i : len(mass) + 1 - j]
-                kept[0] = state[: i + 1].sum(axis=0) + state[len(mass) + 1 - j :].sum(axis=0)
+                kept[0] = state[0]
                 state, lo = kept, lo + i
-        return lift(state)
-
-    def keep(state, lifted, b):
-        nonlocal acc
+        lifted = lift(state)
         top = lo + lifted.shape[0] - 1
         if acc.size < top:
             acc = np.concatenate([acc, np.zeros(acc.size)])
-        acc[lo:top] += lifted[1:] @ b
+        acc[lo:top] += lifted[1:] @ schedule._absorptions[k]
+        return lifted @ schedule.matrices[k].T
 
-    state, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, lift=banded, keep=keep,
-                              closes=lambda period: len(period) * schedule.d <= MAX_CLOSED_CYCLE_STATES)
+    period = schedule.prefix_length if schedule.extension == "cycle" else 1
+    state, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance,
+                              closes=period * schedule.d <= MAX_CLOSED_CYCLE_STATES)
     if tail is None:
         atoms, tail_mass = acc, float(state[1:].sum())
     else:
@@ -361,17 +364,20 @@ def _binomial_shift(order: int) -> np.ndarray:
     return np.tril(pascal, -1)
 
 
-def _moment_start(chain, initial, target: TargetSet, order: int, absorbed: bool = False):
-    """The moment stack M of p(0, start), rows 1..order zero, and the lift
-    A = M + (L @ M) * r of a moment stack, or of a batch of them.
+def _moment_start(chain, initial, target: TargetSet, order: int, steps):
+    """The moment stack M of p(0, start), rows 1..order zero, and its step
+    advance(M, k) = (M + (L @ M) * r) @ steps[k], of a moment stack or of a
+    batch of them, k then an index array with one entry per stack.
 
-    With `absorbed`, M has one more column, the moments of the mass absorbed
-    so far, which the lift leaves alone and _absorbing_step carries on.
+    steps[k] is U_k' for each chain matrix U_k, or its _absorbing_step; M
+    then has one more column, the moments of the mass absorbed so far,
+    which the lift A = M + (L @ M) * r leaves alone.
     """
-    M = np.zeros((order + 1, chain.d + absorbed))
+    M = np.zeros((order + 1, steps[0].shape[0]))
     M[0, : chain.d] = _occupancy_start(chain, initial, target)[0]
-    shift, r = _binomial_shift(order), np.append(target.mask, [0.0] * absorbed)
-    return M, lambda M: M + (shift @ M) * r
+    shift, r = _binomial_shift(order), np.zeros(M.shape[1])
+    r[: chain.d] = target.mask
+    return M, lambda M, k: (M + (shift @ M) * r) @ steps[k]
 
 
 def _absorbing_step(U, b) -> np.ndarray:
@@ -477,8 +483,8 @@ def moment_tables(
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     with _overflow_named(order):
-        M, lift = _moment_start(schedule, initial, target, order)
-        values = _kept_states(schedule, M, start, lift, lambda M: M[0], order, tail_tol, max_horizon)
+        M, advance = _moment_start(schedule, initial, target, order, [U.T for U in schedule.matrices])
+        values = _kept_states(schedule, M, start, advance, order, tail_tol, max_horizon)
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
 
@@ -508,9 +514,8 @@ def occupancy_moments(
     d = schedule.d
     steps = [_absorbing_step(U, b) for U, b in zip(schedule.matrices, schedule._absorptions)]
     with _overflow_named(order):
-        M, lift = _moment_start(schedule, initial, target, order, absorbed=True)
-        M, tail = _recurrence(schedule, M, start, tail_tol, max_horizon, lift, lambda *_: None,
-                              lambda M: M[0, :d], order, closes=lambda period: True, steps=steps)
+        M, advance = _moment_start(schedule, initial, target, order, steps)
+        M, tail = _recurrence(schedule, M, start, tail_tol, max_horizon, advance, order=order, closes=True)
         acc = M[:, d]
         if tail:
             acc = acc + _closed_moments(M[:, :d], tail[1], target.mask)

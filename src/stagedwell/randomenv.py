@@ -137,24 +137,22 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
-def _sequence_moments(spec, M, lift, n_sequences, base, start, tail_tol, max_horizon, length):
+def _sequence_moments(spec, M, advance, n_sequences, base, start, tail_tol, max_horizon, length):
     """First and second raw occupancy moments of every sampled sequence.
 
-    Runs the step of occupancy_moments on the stack M and lift of
-    _moment_start with its absorbed column, whose last column holds the
-    absorbed moments: M <- lift(M) @ S_k, S_k the _absorbing_step of the
-    condition k drawn, on a stack of M whose row s belongs to sequence
-    live[s]. Each sequence's product has the shape of the single one in
-    occupancy_moments, so its moments are those of occupancy_moments on its
-    own steps, bit for bit, and its stopping mass, the sum of the first d
-    entries of its row 0, is the one that engine stops on. A sequence leaves
-    the live rows once its own stopping rule is met. It draws condition
-    indices from default_rng((*base, i)) in chunks, never past `length`,
-    and holds the last one beyond it. Returns the first and second moments
-    and the number of sequences that held.
+    Runs the step of occupancy_moments, `advance` of _moment_start with the
+    _absorbing_step of each condition, on a stack of M whose row s belongs
+    to sequence live[s], each stepped by the condition it drew; the last
+    column of M holds the absorbed moments. Each sequence's product has the
+    shape of the single one in occupancy_moments, so its moments are those
+    of occupancy_moments on its own steps, bit for bit, and its stopping
+    mass, the sum of the first d entries of its row 0, is the one that
+    engine stops on. A sequence leaves the live rows once its own stopping
+    rule is met. It draws condition indices from default_rng((*base, i)) in
+    chunks, never past `length`, and holds the last one beyond it. Returns
+    the first and second moments and the number of sequences that held.
     """
     d = spec.d
-    steps = np.stack([_absorbing_step(U, absorption_vector(U)) for U in spec.matrices])
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
@@ -180,7 +178,7 @@ def _sequence_moments(spec, M, lift, n_sequences, base, start, tail_tol, max_hor
             size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
             chunk = [rngs[i].choice(spec.n_conditions, size=size, p=spec.probabilities) for i in live]
             drawn = np.concatenate([drawn, np.array(chunk, dtype=np.intp)], axis=1)
-        M = lift(M) @ steps[drawn[:, n]]
+        M = advance(M, drawn[:, n])
         mass = M[:, 0, :d].sum(axis=1)
         t += 1
 
@@ -224,9 +222,10 @@ def two_level_stats(
     start = int(start)
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    M, lift = _moment_start(spec, initial, target, 2, absorbed=True)
+    steps = np.stack([_absorbing_step(U, absorption_vector(U)) for U in spec.matrices])
+    M, advance = _moment_start(spec, initial, target, 2, steps)
     means, second, held = _sequence_moments(
-        spec, M, lift, n_sequences, _seed_entropy(seed), start,
+        spec, M, advance, n_sequences, _seed_entropy(seed), start,
         tail_tol, max_horizon, length,
     )
     variances = np.maximum(second - means * means, 0.0)

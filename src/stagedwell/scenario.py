@@ -53,7 +53,7 @@ from .errors import (
     UnknownLabelError,
     UnknownMatrixError,
 )
-from .occupancy import OccupancyDistribution, TargetSet
+from .occupancy import TargetSet
 from .randomenv import (PROBABILITY_SUM_TOL, RandomEnvironmentSpec, SweepPoint, TwoLevelStats,
                         sample_schedule)
 from .simulate import EmpiricalSummary

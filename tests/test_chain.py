@@ -414,5 +414,9 @@ class TestStateSpace:
         with pytest.raises(ValueError):
             sw.StateSpace(("a", "a"))
 
+    def test_rejects_no_stages(self):
+        with pytest.raises(ValueError, match="a state space needs at least one stage"):
+            sw.StateSpace(())
+
     def test_numbered(self):
         assert sw.StateSpace.numbered(2).labels == ("s0", "s1")

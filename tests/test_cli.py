@@ -82,6 +82,17 @@ class TestValidate:
         assert code == 0
         assert "G: column sums [0.5, 0.5]; absorption [0.5, 0.5]" in out
 
+    def test_absorption_is_the_engines_clamped_vector(self, capsys, tmp_path):
+        # a column summing to 1 + 5e-10 passes the column-sum tolerance; its
+        # absorption is 0, as the engines use it, not 1 - sum < 0
+        doc = json.loads(GEOMETRIC)
+        doc["matrices"] = {"G": [[0.5, 0.0], [0.5000000005, 0.5]]}
+        path = tmp_path / "rounded.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["validate", "--scenario", str(path)])
+        assert code == 0
+        assert "G: column sums [1.0000000005, 0.5]; absorption [0.0, 0.5]" in out
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, ["validate", "--scenario", "/nope/missing.json"])
         assert code == 1
@@ -117,7 +128,8 @@ class TestUsageErrors:
         (["env-sweep", "--grid-step", "0"], "must lie in (0, 1], got 0.0"),
         (["simulate", "--samples", "0"], "must be positive, got 0"),
         (["occupancy", "--start", "x"], "invalid int value: 'x'"),
-    ], ids=["start", "max_horizon", "tail_tol", "grid_step", "samples", "not_a_number"])
+        (["env-sweep", "--samples", "1"], "must be at least 2, got 1"),
+    ], ids=["start", "max_horizon", "tail_tol", "grid_step", "samples", "not_a_number", "sweep_samples"])
     def test_range_messages(self, capsys, geometric_path, argv, message):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--scenario", geometric_path])

@@ -79,6 +79,27 @@ class TestParseScenario:
         with pytest.raises(sw.UnknownMatrixError):
             sw.parse_scenario(minimal_text(schedule={"kind": "constant", "matrix": "Q"}))
 
+    def test_unknown_matrix_in_explicit_sequence(self):
+        with pytest.raises(sw.UnknownMatrixError) as info:
+            sw.parse_scenario(minimal_text(schedule={"kind": "explicit", "sequence": ["M", "Q"]}))
+        assert "'Q'" in str(info.value)
+
+    @pytest.mark.parametrize("sequence", [[], ["M", 3]], ids=["empty", "not a string"])
+    def test_explicit_sequence_must_list_matrix_names(self, sequence):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(schedule={"kind": "explicit", "sequence": sequence}))
+        assert (info.value.location, info.value.detail) == \
+            ("schedule.sequence", "must be a non-empty list of matrix names")
+
+    @pytest.mark.parametrize("states, detail", [
+        ([], "a state space needs at least one stage"),
+        (["adult", "adult"], "stage labels must be distinct, got ('adult', 'adult')"),
+    ], ids=["empty", "duplicate"])
+    def test_states_a_state_space_rejects(self, states, detail):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(minimal_text(states=states))
+        assert (info.value.location, info.value.detail) == ("states", detail)
+
     def test_unknown_target_label(self):
         with pytest.raises(sw.UnknownLabelError):
             sw.parse_scenario(minimal_text(target_set=["larva"]))
