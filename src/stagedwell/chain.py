@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -37,6 +38,9 @@ DEFAULT_MAX_HORIZON = 100_000
 COLUMN_SUM_TOL = 1e-9
 
 EXTENSIONS = ("hold_last", "cycle", "error")
+
+# log of the least mass _unchecked lets unchecked steps reach
+_LOG_TINY = math.log(sys.float_info.min / sys.float_info.epsilon)
 
 # Prefix entries Schedule.indices converts to Python ints at a time.
 INDEX_CHUNK = 1024
@@ -385,6 +389,31 @@ def _first_negligible(masses: np.ndarray, t: int, order: int, tail_tol: float):
     return None
 
 
+def _decay_rate(absorptions) -> float:
+    """-log floor, floor the least factor by which a step of any matrix with
+    these absorption vectors can multiply a surviving mass: 1 less the
+    largest absorption probability, less a margin for the rounding of the
+    column sums and of a step's products. inf when floor is not above 0."""
+    worst = max(float(b.max()) for b in absorptions) + 4 * (absorptions[0].size + 1) * sys.float_info.epsilon
+    return -math.log1p(-worst) if worst < 1.0 else math.inf
+
+
+def _unchecked(mass: float, t: int, order: int, tail_tol: float, rate: float) -> int:
+    """How many steps after t the stopping rule cannot hold at, given that
+    it does not hold at t with surviving `mass` (see _decay_rate for rate).
+
+    By step t + s the mass is at least mass * exp(-rate * s), and the
+    weighted mass at least that times (t+1)**order. The rule cannot hold
+    while the latter is at least tail_tol and the former above float64's
+    normal range, where _negligible's overflow regime stops, widened by
+    1/epsilon so that a step's rounding stays relative. The logarithms'
+    rounding is taken off generously.
+    """
+    logs = (math.log(mass), order * math.log(t + 1), math.log(tail_tol), _LOG_TINY)
+    room = min(logs[0] + logs[1] - logs[2], logs[0] - logs[3]) - 2.0**-40 * sum(map(abs, logs))
+    return max(int(room / rate), 0)
+
+
 def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=None, order=0, closes=False):
     """The one stepping loop of the exact engines; returns (state, tail).
 
@@ -399,11 +428,18 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
     homogeneous tail (t0, period) (see _homogeneous_tail), the loop stops
     at t0 instead, raises as _check_absorbs does, and returns that tail for
     the engine to close.
+
+    The mass is read only where the rule can hold: after a read at t, the
+    steps _unchecked finds it cannot hold at, by the schedule's
+    _decay_rate, are taken unread, short of t0 and max_horizon. So the
+    loop stops, raises and returns at the steps, and with the states, of
+    reading the mass at every step.
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     tail = _homogeneous_tail(schedule, start) if closes else None
     indices, d = schedule.indices(start), schedule.d
     stop = min(tail[0], max_horizon) if tail else max_horizon
+    rate = _decay_rate(schedule._absorptions)
     t = 0
     while not _negligible(surviving := float(state.ravel()[:d].sum()), t, order, tail_tol):
         if t >= stop:
@@ -411,11 +447,12 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
                 raise NonAbsorbingError(surviving, max_horizon)
             _check_absorbs(tail, state.ravel()[:d], order, tail_tol, max_horizon)
             return state, tail
-        k = next(indices)
-        if keep:
-            keep(state)
-        state = advance(state, k)
-        t += 1
+        n = min(1 + _unchecked(surviving, t, order, tail_tol, rate), stop - t)
+        for k in itertools.islice(indices, n):
+            if keep:
+                keep(state)
+            state = advance(state, k)
+        t += n
     return state, None
 
 

@@ -371,13 +371,33 @@ def _moment_start(chain, initial, target: TargetSet, order: int, steps):
 
     steps[k] is U_k' for each chain matrix U_k, or its _absorbing_step; M
     then has one more column, the moments of the mass absorbed so far,
-    which the lift A = M + (L @ M) * r leaves alone.
+    which the lift M + (L @ M) * r leaves alone.
+
+    The step is two products. P = M @ W[k], with W[k] = [S | r[:, None] * S]
+    and S = steps[k], holds M S and M (r S) side by side; read as
+    2 * (order + 1) rows of M's width, it is summed by J, the identity and
+    L interleaved by column, into M S + L @ (M (r S)). That is the same
+    linear map, as ((L @ M) * r) @ S = L @ M @ (r S), summed in another
+    order. Row 0 of J picks row 0 of M S alone, so the stage vector moves
+    by the one product U' w.
     """
-    M = np.zeros((order + 1, steps[0].shape[0]))
+    steps = np.asarray(steps)
+    width = steps.shape[-1]
+    M = np.zeros((order + 1, width))
     M[0, : chain.d] = _occupancy_start(chain, initial, target)[0]
-    shift, r = _binomial_shift(order), np.zeros(M.shape[1])
+    r = np.zeros(width)
     r[: chain.d] = target.mask
-    return M, lambda M, k: (M + (shift @ M) * r) @ steps[k]
+    W = np.concatenate((steps, r[:, np.newaxis] * steps), axis=-1)
+    J = np.zeros((order + 1, 2 * order + 2))
+    J[:, 0::2] = np.eye(order + 1)
+    J[:, 1::2] = _binomial_shift(order)
+    rows = (2 * order + 2, width)
+
+    def advance(M, k):
+        P = M @ W[k]
+        return J @ P.reshape(P.shape[:-2] + rows)
+
+    return M, advance
 
 
 def _absorbing_step(U, b) -> np.ndarray:
@@ -467,7 +487,8 @@ def moment_tables(
 
     The stack update is A = M + (L @ M) * r followed by M <- A B', where
     row k of M holds m_k(n) and L carries the binomial weights tying lower
-    moments into higher ones whenever a target stage is occupied.
+    moments into higher ones whenever a target stage is occupied; it is
+    computed as two products (see _moment_start).
 
     Truncation is moment-aware: because survivors at time t can still add
     occupancy totals up to about t to the k-th moment with weight t^k, the

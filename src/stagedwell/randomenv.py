@@ -15,13 +15,18 @@ finite sample of sequences.
 two_level_stats advances all sequences of a call together. Each carries its
 order-2 moment stack with one more column, the moments of the mass absorbed
 so far (Caswell 2011's Markov chains with rewards), so a step of every
-sequence is one stacked product with its drawn condition's step, each of the
-shape occupancy_moments takes, and one sequence's moments are bit for bit
-those of occupancy_moments on its steps. Each sequence draws its condition
-indices lazily, in chunks, only as far as its own truncation rule follows
-it. The seeding contract is unchanged: sequence i is the one
-sample_schedule draws from np.random.default_rng((*seed, i)), since chunked
-draws from a generator give the indices of one bulk draw.
+sequence is the two stacked products of occupancy_moments' step with its
+drawn condition, each of the shape occupancy_moments takes, and one
+sequence's moments are bit for bit those of occupancy_moments on its steps.
+The stopping masses are read only at the steps where some sequence's rule
+can hold, as in chain._recurrence. Each sequence draws its condition indices
+lazily, in chunks, only as far as its own truncation rule follows it. The
+seeding contract: sequence i is the one sample_schedule draws from
+np.random.default_rng((*seed, i)), since chunked draws from a generator give
+the indices of one bulk draw, and a draw of n indices is
+np.searchsorted(cdf, rng.random(n), side="right") with cdf the cumulative
+probabilities normalized by their last entry, which is what
+Generator.choice(n_conditions, n, p=probabilities) computes.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .chain import (
     DEFAULT_TAIL_TOL,
     Schedule,
     _check_truncation,
+    _decay_rate,
+    _unchecked,
     absorption_vector,
     validate_matrix,
 )
@@ -110,8 +117,15 @@ def sample_schedule(spec: RandomEnvironmentSpec, length: int, rng: np.random.Gen
     length = int(length)
     if length < 1:
         raise ValueError(f"sequence length must be at least 1, got {length}")
-    idx = rng.choice(spec.n_conditions, size=length, p=spec.probabilities)
-    return Schedule(spec.matrices, idx, "hold_last")
+    return Schedule(spec.matrices, np.searchsorted(_cdf(spec), rng.random(length), side="right"), "hold_last")
+
+
+def _cdf(spec: RandomEnvironmentSpec) -> np.ndarray:
+    """The cumulative probabilities, normalized by their last entry, that
+    Generator.choice(n_conditions, p=probabilities) draws from."""
+    cdf = spec.probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -148,38 +162,43 @@ def _sequence_moments(spec, M, advance, n_sequences, base, start, tail_tol, max_
     of occupancy_moments on its own steps, bit for bit, and its stopping
     mass, the sum of the first d entries of its row 0, is the one that
     engine stops on. A sequence leaves the live rows once its own stopping
-    rule is met. It draws condition indices from default_rng((*base, i)) in
-    chunks, never past `length`, and holds the last one beyond it. Returns
-    the first and second moments and the number of sequences that held.
+    rule is met. The masses are read only where a rule can hold: after a
+    read, the steps chain._unchecked finds for the least live mass, with
+    the decay rate of the worst condition, are taken unread. It draws
+    condition indices from default_rng((*base, i)) in chunks, never past
+    `length`, and holds the last one beyond it. Returns the first and
+    second moments and the number of sequences that held.
     """
     d = spec.d
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
+    cdf, rate = _cdf(spec), _decay_rate([absorption_vector(U) for U in spec.matrices])
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
     M = np.repeat(M[np.newaxis], n_sequences, axis=0)
     drawn = np.empty((n_sequences, 0), dtype=np.intp)
-    mass = M[:, 0, :d].sum(axis=1)
     held = 0
-    t = 0
+    t = check = 0
     while True:
-        weight = float(t + 1) ** 2
-        if mass.min() * weight < tail_tol:
-            going = mass * weight >= tail_tol
-            moments[live[~going]] = M[~going, :, d]
-            live, M, drawn, mass = live[going], M[going], drawn[going], mass[going]
-            if live.size == 0:
-                return moments[:, 1], moments[:, 2], held
-        if t >= max_horizon:
-            raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
+        if t == check:
+            mass = M[:, 0, :d].sum(axis=1)
+            weight = float(t + 1) ** 2
+            if mass.min() * weight < tail_tol:
+                going = mass * weight >= tail_tol
+                moments[live[~going]] = M[~going, :, d]
+                live, M, drawn, mass = live[going], M[going], drawn[going], mass[going]
+                if live.size == 0:
+                    return moments[:, 1], moments[:, 2], held
+            if t >= max_horizon:
+                raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
+            check = min(t + 1 + _unchecked(float(mass.min()), t, 2, tail_tol, rate), max_horizon)
         if start + t == max(length, start):
             held = live.size
         n = min(start + t, length - 1)
         if n >= drawn.shape[1]:
             size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
-            chunk = [rngs[i].choice(spec.n_conditions, size=size, p=spec.probabilities) for i in live]
-            drawn = np.concatenate([drawn, np.array(chunk, dtype=np.intp)], axis=1)
+            chunk = np.searchsorted(cdf, [rngs[i].random(size) for i in live], side="right")
+            drawn = np.concatenate([drawn, chunk], axis=1)
         M = advance(M, drawn[:, n])
-        mass = M[:, 0, :d].sum(axis=1)
         t += 1
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -651,6 +653,90 @@ def test_engine_truncation_target_and_start_contract(engine):
     # entering at time 2 meets the same matrices as the schedule without its first two
     shifted = run(sched, v, target, start=2)
     assert _payload(shifted) == _payload(run(sw.Schedule.explicit(mats[2:], range(4)), v, target))
+
+
+def _outcome(run):
+    """What a call gives, to the bit: its payload, or its error's type and
+    message."""
+    try:
+        result = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, sw.TwoLevelStats):
+        return dataclasses.astuple(result)
+    if isinstance(result, sw.MomentTable):
+        return result.values.shape, result.values.tobytes()
+    return _payload(result)
+
+
+def _every_step_checked(run):
+    """_outcome of run with the stopping rule evaluated at every step."""
+    with mock.patch.object(sw.chain, "_unchecked", lambda *args: 0), \
+            mock.patch.object(sw.randomenv, "_unchecked", lambda *args: 0):
+        return _outcome(run)
+
+
+class TestSkippedChecks:
+    """The stepping loop and the sampler read the stopping mass only where
+    the rule can hold; reading it at every step gives the same results bit
+    for bit, and the same errors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 8),
+           st.sampled_from(sw.chain.EXTENSIONS), st.integers(0, 4), st.integers(0, 4),
+           st.sampled_from([60, sw.DEFAULT_MAX_HORIZON]), st.sampled_from(["none", "death", "immortal"]))
+    def test_every_engine_matches_checking_every_step(self, seed, d, n_matrices, prefix, extension, start,
+                                                      order, max_horizon, column):
+        rng = np.random.default_rng(seed)
+        mats = [random_substochastic(rng, d, low=0.3, high=0.97) for _ in range(n_matrices)]
+        j = int(rng.integers(d))
+        for m in mats:
+            if column == "death":      # floor 0: a step can absorb everything
+                m[:, j] = 0.0
+            elif column == "immortal":
+                m[:, j] = np.eye(d)[j]
+        if column == "immortal":       # no closed tail: the recurrence runs to max_horizon
+            max_horizon = 60
+        sched = sw.Schedule.explicit(mats, rng.integers(0, n_matrices, size=prefix), extension)
+        v, target = random_distribution(rng, d), random_target(rng, d)
+        kw = dict(start=start, max_horizon=max_horizon)
+        runs = [lambda name=name: ENGINES[name](sched, v, target, **kw)
+                for name in ("lifetime_distribution", "occupancy_distribution", "evolve_joint")]
+        runs.append(lambda: sw.moment_tables(sched, v, target, order=order, **kw))
+        runs.append(lambda: sw.occupancy_moments(sched, v, target, order=max(order, 1), **kw))
+        spec = sw.RandomEnvironmentSpec(tuple(map(str, range(n_matrices))), mats,
+                                        rng.dirichlet(np.ones(n_matrices)))
+        runs.append(lambda: sw.two_level_stats(spec, v, target, n_sequences=3, seed=seed, start=start,
+                                               max_horizon=max_horizon, sample_length=prefix))
+        for run in runs:
+            assert _outcome(run) == _every_step_checked(run)
+
+    @pytest.mark.parametrize("max_horizon", [60, 2000, sw.DEFAULT_MAX_HORIZON])
+    def test_immortal_stage_raises_as_when_checking_every_step(self, max_horizon):
+        # stage 1 never dies, so nothing closes and every engine steps to
+        # max_horizon; at the default only the cheapest one does, in time
+        sched = sw.Schedule.constant([[0.5, 0.0], [0.3, 1.0]])
+        target = sw.TargetSet(2, frozenset({0}))
+        spec = sw.RandomEnvironmentSpec(("a", "b"), (sched.matrices[0], [[0.9, 0.0], [0.05, 1.0]]), [0.5, 0.5])
+        runs = [lambda name=name: ENGINES[name](sched, [1.0, 0.0], target, max_horizon=max_horizon)
+                for name in ENGINES]
+        runs.append(lambda: sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=2, max_horizon=max_horizon))
+        for run in runs[:1] if max_horizon == sw.DEFAULT_MAX_HORIZON else runs:
+            got = _outcome(run)
+            assert got[0] == "NonAbsorbingError"
+            assert got == _every_step_checked(run)
+
+    @pytest.mark.parametrize("max_horizon", [60, sw.DEFAULT_MAX_HORIZON])
+    def test_fulmar_order_90(self, max_horizon):
+        # the weight (t+1)**90 leaves float64 near t = 2600, and the rule then
+        # waits for the mass to leave the normal range, within the prefix
+        data = sw.builtin_fulmar()
+        target = sw.TargetSet.from_labels(data.states, ("successful breeder", "failed breeder"))
+        sched = sw.Schedule.explicit(list(data.matrices.values()),
+                                     np.random.default_rng(90).integers(0, 3, size=9000), "error")
+        for engine in (sw.occupancy_moments, sw.moment_tables):
+            run = lambda: engine(sched, (1.0, 0.0, 0.0, 0.0), target, order=90, max_horizon=max_horizon)
+            assert _outcome(run) == _every_step_checked(run)
 
 
 SAMPLING_ENGINES = {

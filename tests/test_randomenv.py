@@ -82,6 +82,19 @@ class TestSampleSchedule:
         sched = sw.sample_schedule(spec, 200, np.random.default_rng(0))
         assert set(np.unique(sched.sequence)) == {1}
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 400))
+    def test_draws_are_those_of_generator_choice(self, seed, k, n):
+        # the seeding contract: the indices Generator.choice draws from the
+        # same generator, zero weights included
+        rng = np.random.default_rng(seed)
+        p = rng.random(k) * (rng.random(k) < 0.7)
+        p[rng.integers(k)] += 0.5
+        p /= p.sum()
+        spec = sw.RandomEnvironmentSpec(tuple(map(str, range(k))), [np.eye(2) / 2] * k, p)
+        sched = sw.sample_schedule(spec, n, np.random.default_rng(seed))
+        assert np.array_equal(sched.sequence, np.random.default_rng(seed).choice(k, n, p=spec.probabilities))
+
 
 class TestTwoLevelStats:
     def test_decomposition_identity(self):
