@@ -67,7 +67,9 @@ def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None
         parser.add_argument("--seed", type=_nonneg_int, default=0)
 
 
-def _load_config(args) -> ScenarioConfig:
+def _load_config(args) -> tuple[ScenarioConfig, dict]:
+    """The scenario with the command line's overrides, and the truncation
+    keywords every engine takes from it."""
     if args.scenario == BUILTIN_NAME:
         config = builtin_fulmar_scenario()
     else:
@@ -83,18 +85,18 @@ def _load_config(args) -> ScenarioConfig:
     if updates:
         config = dataclasses.replace(config, **updates)
     config.target_set()  # surface bad target labels before any computation
-    return config
+    return config, dict(start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon)
 
 
-def _realized_schedule(config: ScenarioConfig, seed: int):
-    """Concrete schedule; a random scenario yields one sampled realization."""
+def _prologue(args):
+    """_load_config's scenario, its schedule (a random scenario's is one
+    sampled realization, noted on stderr) and truncation keywords."""
+    config, truncation = _load_config(args)
+    rng = None
     if config.is_random():
-        print(
-            f"note: random schedule, analyzing one sampled realization (seed {seed})",
-            file=sys.stderr,
-        )
-        return config.build_schedule(np.random.default_rng((int(seed),)))
-    return config.build_schedule()
+        print(f"note: random schedule, analyzing one sampled realization (seed {args.seed})", file=sys.stderr)
+        rng = np.random.default_rng((int(args.seed),))
+    return config, config.build_schedule(rng), truncation
 
 
 def _fmt_vector(v) -> str:
@@ -102,7 +104,7 @@ def _fmt_vector(v) -> str:
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     lines = [
         f"scenario OK: {config.states.d} stages, {len(config.matrices)} matrices, "
         f"schedule kind {type(config.schedule_spec).__name__}",
@@ -120,35 +122,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lifetime(args) -> int:
-    config = _load_config(args)
-    schedule = _realized_schedule(config, args.seed)
-    dist = lifetime_distribution(
-        schedule, config.initial,
-        tail_tol=config.tail_tol, max_horizon=config.max_horizon, start=config.start,
-    )
-    export_results(dist, args.format, args.out)
+    config, schedule, truncation = _prologue(args)
+    export_results(lifetime_distribution(schedule, config.initial, **truncation), args.format, args.out)
     return 0
 
 
 def cmd_occupancy(args) -> int:
-    config = _load_config(args)
-    schedule = _realized_schedule(config, args.seed)
-    dist = occupancy_distribution(
-        schedule, config.initial, config.target_set(),
-        start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon,
-    )
+    config, schedule, truncation = _prologue(args)
+    dist = occupancy_distribution(schedule, config.initial, config.target_set(), **truncation)
     export_results(dist, args.format, args.out)
     return 0
 
 
 def cmd_moments(args) -> int:
-    config = _load_config(args)
-    schedule = _realized_schedule(config, args.seed)
-    moments = occupancy_moments(
-        schedule, config.initial, config.target_set(),
-        start=config.start, order=args.order,
-        tail_tol=config.tail_tol, max_horizon=config.max_horizon,
-    )
+    config, schedule, truncation = _prologue(args)
+    moments = occupancy_moments(schedule, config.initial, config.target_set(), order=args.order, **truncation)
     metadata = []
     if args.order >= 2:
         stats = summary_stats(moments[0], moments[1])
@@ -158,15 +146,11 @@ def cmd_moments(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    schedule = _realized_schedule(config, args.seed)
+    config, schedule, truncation = _prologue(args)
     target = config.target_set()
     # the analytic run first: a chain that never absorbs fails at its own
     # max_horizon instead of simulating up to the simulator's step cap
-    analytic = occupancy_distribution(
-        schedule, config.initial, target,
-        start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon,
-    )
+    analytic = occupancy_distribution(schedule, config.initial, target, **truncation)
     summary = empirical_distribution(
         schedule, config.initial, target,
         n_samples=args.samples, seed=args.seed, start=config.start,
@@ -185,15 +169,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_env_sweep(args) -> int:
-    config = _load_config(args)
-    conditions = config.conditions()
+    config, truncation = _load_config(args)
     # a random scenario's schedule.length bounds every sampled sequence
     length = config.schedule_spec.length if config.is_random() else None
     points = simplex_sweep(
-        conditions, args.grid_step, config.initial, config.target_set(),
-        n_sequences=args.samples, seed=args.seed, start=config.start,
-        tail_tol=config.tail_tol, max_horizon=config.max_horizon,
-        sample_length=length,
+        config.conditions(), args.grid_step, config.initial, config.target_set(),
+        n_sequences=args.samples, seed=args.seed, sample_length=length, **truncation,
     )
     drawn = config.max_horizon if length is None else length
     for pt in points:
@@ -220,36 +201,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lifetime and occupancy-time statistics for stage-structured models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a scenario file and report per-matrix diagnostics")
-    _add_common(p, with_seed=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("lifetime", help="distribution of steps lived")
-    _add_common(p)
-    p.set_defaults(func=cmd_lifetime)
-
-    p = sub.add_parser("occupancy", help="distribution of steps spent in the target set")
-    _add_common(p)
-    p.set_defaults(func=cmd_occupancy)
-
-    p = sub.add_parser("moments", help="raw occupancy moments and summary statistics")
-    _add_common(p)
-    p.add_argument("--order", type=_pos_int, default=2, help="highest moment order")
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("simulate", help="Monte Carlo check against the analytic distribution")
-    _add_common(p)
-    p.add_argument("--samples", type=_pos_int, default=2000, help="number of trajectories")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("env-sweep", help="two-level statistics over a simplex of condition mixes")
-    _add_common(p)
-    p.add_argument("--samples", type=_checked(int, lambda x: x >= 2, "be at least 2"), default=2000,
-                   help="environment sequences per grid point")
-    p.add_argument("--grid-step", type=_grid_float, default=0.05)
-    p.set_defaults(func=cmd_env_sweep)
-
+    for name, func, help_text in (
+        ("validate", cmd_validate, "check a scenario file and report per-matrix diagnostics"),
+        ("lifetime", cmd_lifetime, "distribution of steps lived"),
+        ("occupancy", cmd_occupancy, "distribution of steps spent in the target set"),
+        ("moments", cmd_moments, "raw occupancy moments and summary statistics"),
+        ("simulate", cmd_simulate, "Monte Carlo check against the analytic distribution"),
+        ("env-sweep", cmd_env_sweep, "two-level statistics over a simplex of condition mixes"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, with_seed=func is not cmd_validate)
+        p.set_defaults(func=func)
+    sub.choices["moments"].add_argument("--order", type=_pos_int, default=2, help="highest moment order")
+    sub.choices["simulate"].add_argument("--samples", type=_pos_int, default=2000, help="number of trajectories")
+    sweep = sub.choices["env-sweep"]
+    sweep.add_argument("--samples", type=_checked(int, lambda x: x >= 2, "be at least 2"), default=2000,
+                       help="environment sequences per grid point")
+    sweep.add_argument("--grid-step", type=_grid_float, default=0.05)
     return parser
 
 

@@ -151,57 +151,6 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
-def _sequence_moments(spec, M, advance, n_sequences, base, start, tail_tol, max_horizon, length):
-    """First and second raw occupancy moments of every sampled sequence.
-
-    Runs the step of occupancy_moments, `advance` of _moment_start with the
-    _absorbing_step of each condition, on a stack of M whose row s belongs
-    to sequence live[s], each stepped by the condition it drew; the last
-    column of M holds the absorbed moments. Each sequence's product has the
-    shape of the single one in occupancy_moments, so its moments are those
-    of occupancy_moments on its own steps, bit for bit, and its stopping
-    mass, the sum of the first d entries of its row 0, is the one that
-    engine stops on. A sequence leaves the live rows once its own stopping
-    rule is met. The masses are read only where a rule can hold: after a
-    read, the steps chain._unchecked finds for the least live mass, with
-    the decay rate of the worst condition, are taken unread. It draws
-    condition indices from default_rng((*base, i)) in chunks, never past
-    `length`, and holds the last one beyond it. Returns the first and
-    second moments and the number of sequences that held.
-    """
-    d = spec.d
-    rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
-    cdf, rate = _cdf(spec), _decay_rate([absorption_vector(U) for U in spec.matrices])
-    moments = np.empty((n_sequences, 3))
-    live = np.arange(n_sequences)
-    M = np.repeat(M[np.newaxis], n_sequences, axis=0)
-    drawn = np.empty((n_sequences, 0), dtype=np.intp)
-    held = 0
-    t = check = 0
-    while True:
-        if t == check:
-            mass = M[:, 0, :d].sum(axis=1)
-            weight = float(t + 1) ** 2
-            if mass.min() * weight < tail_tol:
-                going = mass * weight >= tail_tol
-                moments[live[~going]] = M[~going, :, d]
-                live, M, drawn, mass = live[going], M[going], drawn[going], mass[going]
-                if live.size == 0:
-                    return moments[:, 1], moments[:, 2], held
-            if t >= max_horizon:
-                raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
-            check = min(t + 1 + _unchecked(float(mass.min()), t, 2, tail_tol, rate), max_horizon)
-        if start + t == max(length, start):
-            held = live.size
-        n = min(start + t, length - 1)
-        if n >= drawn.shape[1]:
-            size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
-            chunk = np.searchsorted(cdf, [rngs[i].random(size) for i in live], side="right")
-            drawn = np.concatenate([drawn, chunk], axis=1)
-        M = advance(M, drawn[:, n])
-        t += 1
-
-
 def two_level_stats(
     spec: RandomEnvironmentSpec,
     initial,
@@ -215,15 +164,11 @@ def two_level_stats(
 ) -> TwoLevelStats:
     """Sample environment sequences; combine their exact occupancy statistics.
 
-    Sequence i is the schedule sample_schedule(spec, sample_length,
-    np.random.default_rng((*seed, i))) draws, sample_length defaulting to
-    max_horizon, with the moments of the order-2 recurrence on that
-    sequence written out step by step: occupancy_moments(order=2) on its
-    steps listed with extension "error" (on the sampled schedule itself it
-    would close the held tail exactly instead). The sequences advance
-    together, each stopping under its own truncation rule and drawing
-    condition indices only as far as that, which leaves the indices, and so
-    the results, those of drawing every sequence in full.
+    Sequence i is drawn as the module docstring's seeding contract states,
+    sample_length (default max_horizon) indices long and holding its last
+    condition beyond them. Its moments are those of occupancy_moments(order=2)
+    on its steps listed with extension "error" (on the sampled schedule
+    itself that engine would close the held tail exactly instead).
     NonAbsorbingError names the lowest sequence still alive after
     max_horizon steps. between_variance is the plug-in (divide by n)
     variance of the means about their mean, so equal means give only the
@@ -241,12 +186,44 @@ def two_level_stats(
     start = int(start)
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    steps = np.stack([_absorbing_step(U, absorption_vector(U)) for U in spec.matrices])
+    d, absorptions = spec.d, [absorption_vector(U) for U in spec.matrices]
+    steps = np.stack([_absorbing_step(U, a) for U, a in zip(spec.matrices, absorptions)])
     M, advance = _moment_start(spec, initial, target, 2, steps)
-    means, second, held = _sequence_moments(
-        spec, M, advance, n_sequences, _seed_entropy(seed), start,
-        tail_tol, max_horizon, length,
-    )
+    base = _seed_entropy(seed)
+    rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
+    cdf, rate = _cdf(spec), _decay_rate(absorptions)
+    moments = np.empty((n_sequences, 3))
+    live = np.arange(n_sequences)
+    M = np.repeat(M[np.newaxis], n_sequences, axis=0)
+    drawn = np.empty((n_sequences, 0), dtype=np.intp)
+    # row s of M is the moment stack of sequence live[s], its last column the
+    # absorbed moments; a sequence leaves once the first d entries of its row
+    # 0 meet its own stopping rule, and after a read the steps _unchecked
+    # finds for the least live mass, at the worst condition's rate, go unread
+    held = t = check = 0
+    while True:
+        if t == check:
+            mass = M[:, 0, :d].sum(axis=1)
+            weight = float(t + 1) ** 2
+            if mass.min() * weight < tail_tol:
+                going = mass * weight >= tail_tol
+                moments[live[~going]] = M[~going, :, d]
+                live, M, drawn, mass = live[going], M[going], drawn[going], mass[going]
+                if live.size == 0:
+                    break
+            if t >= max_horizon:
+                raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
+            check = min(t + 1 + _unchecked(float(mass.min()), t, 2, tail_tol, rate), max_horizon)
+        if start + t == max(length, start):
+            held = live.size
+        n = min(start + t, length - 1)
+        if n >= drawn.shape[1]:
+            size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
+            chunk = np.searchsorted(cdf, [rngs[i].random(size) for i in live], side="right")
+            drawn = np.concatenate([drawn, chunk], axis=1)
+        M = advance(M, drawn[:, n])
+        t += 1
+    means, second = moments[:, 1], moments[:, 2]
     variances = np.maximum(second - means * means, 0.0)
     mean_of_means = float(means.mean())
     mean_within = float(variances.mean())

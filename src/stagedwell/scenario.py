@@ -147,7 +147,11 @@ class ScenarioConfig:
         return sample_schedule(self.random_spec(), length, rng)
 
     def conditions(self) -> list[tuple[str, np.ndarray]]:
-        """(name, matrix) pairs in file order."""
+        """(name, matrix) pairs: a random schedule's conditions in the order
+        its probabilities name them, else every matrix in file order."""
+        if self.is_random():
+            spec = self.random_spec()
+            return list(zip(spec.labels, spec.matrices))
         return list(self.matrices.items())
 
 
@@ -376,16 +380,6 @@ def _export_parts(result) -> tuple[str, list, dict]:
         doc = {"kind": "lifetime" if lifetime else "occupancy", "probs": dict(probs),
                "tail_mass": result.tail_mass}
         return header, probs + [("tail_mass", result.tail_mass)], doc
-    if isinstance(result, TwoLevelStats):
-        record = {
-            "mean": result.mean_of_means,
-            "cv": result.coefficient_of_variation,
-            "within_var": result.mean_within_variance,
-            "between_var": result.between_variance,
-            "total_var": result.total_variance,
-            "n_sequences": result.n_sequences,
-        }
-        return ",".join(record), [tuple(record.values())], record
     if isinstance(result, EmpiricalSummary):
         counts = sorted(result.occupancy_counts.items())
         summary = {"mean": result.mean, "variance": result.variance, "std_error": result.std_error}
@@ -396,20 +390,24 @@ def _export_parts(result) -> tuple[str, list, dict]:
             **summary,
         }
         return "tau,count", counts + [("n_samples", result.n_samples), *summary.items()], doc
+    # a two-level result's columns and the TwoLevelStats fields they hold;
+    # a sweep row has the first four
+    two_level = {"mean": "mean_of_means", "cv": "coefficient_of_variation",
+                 "within_var": "mean_within_variance", "between_var": "between_variance",
+                 "total_var": "total_variance", "n_sequences": "n_sequences"}
+    if isinstance(result, TwoLevelStats):
+        record = {col: getattr(result, name) for col, name in two_level.items()}
+        return ",".join(record), [tuple(record.values())], record
     if isinstance(result, list) and result and isinstance(result[0], SweepPoint):
-        columns = [f"p_{lab}" for lab in result[0].labels] + ["mean", "cv", "within_var", "between_var"]
+        stats = list(two_level)[:4]
+        columns = [f"p_{lab}" for lab in result[0].labels] + stats
         grid = []
         for pt in result:
             entry = {f"p_{lab}": p for lab, p in zip(pt.labels, pt.probabilities)}
             if pt.stats is None:
                 entry["error"] = pt.error
             else:
-                entry.update(
-                    mean=pt.stats.mean_of_means,
-                    cv=pt.stats.coefficient_of_variation,
-                    within_var=pt.stats.mean_within_variance,
-                    between_var=pt.stats.between_variance,
-                )
+                entry.update((col, getattr(pt.stats, two_level[col])) for col in stats)
             grid.append(entry)
         rows = [tuple(entry.get(col, math.nan) for col in columns) for entry in grid]
         return ",".join(columns), rows, {"grid": grid}

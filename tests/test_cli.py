@@ -278,6 +278,55 @@ class TestSimulate:
         assert err.startswith("error: NonAbsorbingError")
 
 
+class TestOverrides:
+    """--start, --tail-tol and --max-horizon reach every engine a subcommand runs."""
+
+    PATH = str(SCENARIOS / "fulmar_explicit_sequence.json")
+    FLAGS = ["--start", "3", "--tail-tol", "1e-10", "--max-horizon", "5000", "--format", "json"]
+    KW = dict(start=3, tail_tol=1e-10, max_horizon=5000)
+
+    def library(self):
+        config = sw.load_scenario(self.PATH)
+        return config.build_schedule(), config.initial, config.target_set()
+
+    def exported(self, result, metadata=()):
+        text = io.StringIO()
+        sw.export_results(result, "json", text, metadata=metadata)
+        return text.getvalue()
+
+    @pytest.mark.parametrize("command", ["lifetime", "occupancy", "moments"])
+    def test_exact_engines(self, capsys, command):
+        schedule, v, target = self.library()
+        if command == "lifetime":
+            expected = self.exported(sw.lifetime_distribution(schedule, v, **self.KW))
+        elif command == "occupancy":
+            expected = self.exported(sw.occupancy_distribution(schedule, v, target, **self.KW))
+        else:
+            moments = sw.occupancy_moments(schedule, v, target, order=3, **self.KW)
+            stats = sw.summary_stats(moments[0], moments[1])
+            expected = self.exported(moments, [("mean", stats.mean), ("variance", stats.variance),
+                                               ("cv", stats.cv)])
+        order = ["--order", "3"] if command == "moments" else []
+        code, out, err = run(capsys, [command, "--scenario", self.PATH, *self.FLAGS, *order])
+        assert (code, err) == (0, "")
+        assert out == expected
+        # the overrides change the answer, so the comparison shows they arrived
+        assert run(capsys, [command, "--scenario", self.PATH, "--format", "json", *order])[1] != out
+
+    def test_simulate(self, capsys):
+        schedule, v, target = self.library()
+        code, out, err = run(capsys, ["simulate", "--scenario", self.PATH, *self.FLAGS,
+                                      "--samples", "300", "--seed", "5"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        analytic = sw.occupancy_distribution(schedule, v, target, **self.KW)
+        assert doc["metadata"]["analytic_mean"] == analytic.mean()
+        summary = sw.empirical_distribution(schedule, v, target, n_samples=300, seed=5, start=3,
+                                            step_cap=5000)
+        del doc["metadata"]
+        assert doc == json.loads(self.exported(summary))
+
+
 class TestEnvSweep:
     def test_corners_only(self, capsys, tmp_path):
         path = tmp_path / "random.json"
@@ -386,6 +435,27 @@ class TestEnvSweep:
             grid = json.loads(out)["grid"]
             assert [list(pt)[:3] for pt in grid] == [["p_A", "p_B", "p_C"]] * 3
             assert grid[0]["p_A"] == 1.0
+
+    def test_random_scenario_sweeps_the_conditions_its_probabilities_name(self, capsys, tmp_path):
+        # a matrix the probabilities do not name is no condition, and the
+        # columns follow the probabilities' order, not the file's
+        doc = json.loads((SCENARIOS / "fulmar_random_environment.json").read_text())
+        spare = [[0.5 if i == j else 0.0 for j in range(4)] for i in range(4)]
+        doc["matrices"] = {"spare": spare, **doc["matrices"]}
+        doc["schedule"]["probabilities"] = {"U_u": 0.33, "U_f": 0.33, "U_o": 0.34}
+        path = tmp_path / "spare.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["env-sweep", "--scenario", str(path), "--grid-step", "0.5",
+                                      "--samples", "4"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "p_U_u,p_U_f,p_U_o,mean,cv,within_var,between_var"
+        config = sw.load_scenario(path)
+        pairs = [(name, config.matrices[name]) for name in ("U_u", "U_f", "U_o")]
+        points = sw.simplex_sweep(pairs, 0.5, config.initial, config.target_set(), n_sequences=4,
+                                  sample_length=5000)
+        expected = io.StringIO()
+        sw.export_results(points, "csv", expected)
+        assert out == expected.getvalue()
 
     def test_needs_three_matrices(self, capsys, geometric_path):
         code, _, err = run(capsys, ["env-sweep", "--scenario", geometric_path,

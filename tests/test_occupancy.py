@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
@@ -541,6 +541,9 @@ class TestBand:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 60), st.integers(0, 25),
            st.sampled_from(["hold_last", "cycle"]), st.sampled_from(["random", "empty", "full"]), st.booleans())
+    # a life that ends inside the prefix: a recurrence result, with a
+    # tail_mass of 1.015e-12 between tail_tol and 1.5 tail_tol
+    @example(seed=3, d=3, prefix=51, start=0, extension="hold_last", members="random", zero_held=False)
     def test_closed_chains_within_tail_mass_of_the_full_table(self, seed, d, prefix, start, extension, members,
                                                               zero_held):
         # TestClosedTail's chains with prefixes long enough to trim, under a
@@ -554,9 +557,13 @@ class TestBand:
         v = random_distribution(rng, d)
         target = {"random": random_target(rng, d), "empty": sw.TargetSet.none(d),
                   "full": sw.TargetSet.all_states(d)}[members]
-        banded = sw.occupancy_distribution(sched, v, target, start=start, max_horizon=400)
+        closed = sw.occupancy._closed_distribution
+        with mock.patch.object(sw.occupancy, "_closed_distribution", wraps=closed) as closing:
+            banded = sw.occupancy_distribution(sched, v, target, start=start, max_horizon=400)
         atoms, tail = _joint_atoms(sched, v, target, start=start, tail_tol=1e-15, max_horizon=400)
-        assert banded.tail_mass <= sw.DEFAULT_TAIL_TOL
+        # the README's bound: tail_tol for a closed result, 1.5 tail_tol for
+        # one whose life ends before the tail is closed
+        assert banded.tail_mass <= (1.0 if closing.called else 1.5) * sw.DEFAULT_TAIL_TOL
         assert banded.total() == pytest.approx(1.0, abs=1e-12)
         reference = np.zeros(max(atoms.size, banded.max_support() + 1))
         reference[: atoms.size] = atoms
