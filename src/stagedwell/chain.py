@@ -85,7 +85,7 @@ class StateSpace:
 
     @classmethod
     def numbered(cls, d: int) -> "StateSpace":
-        return cls(tuple(f"s{i}" for i in range(int(d))))
+        return cls(tuple(f"s{i}" for i in range(_integer(d, "d"))))
 
 
 def validate_matrix(raw) -> np.ndarray:
@@ -136,23 +136,30 @@ def validate_distribution(raw, d: int | None = None) -> np.ndarray:
     return v
 
 
+def _integer(value, what: str, least: int | None = None, too_small: str | None = None) -> int:
+    """`value` as an int, by the one integer rule of every count, time and
+    index argument and index list entry: ints, numpy integers and integral
+    floats such as 2.0 pass, while bools, 0.7, '1' and None raise ValueError
+    "<what> <value> is not an integer". Below `least` it raises ValueError
+    too_small, formatted with the value (by default "<what> must be at
+    least <least>, got {}", or "nonnegative")."""
+    if not (type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ValueError(f"{what} {value.item() if isinstance(value, np.generic) else value!r} is not an integer")
+    if least is not None and int(value) < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError((too_small or f"{what} must be {bound}, got {{}}").format(int(value)))
+    return int(value)
+
+
 def _as_indices(values, what: str) -> np.ndarray:
-    """`values` as an intp array, or ValueError naming the first entry that
-    is not an integer. Integral floats such as 2.0 pass; 0.7 and '1' do not."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "biu":
+    """`values` as an intp array: an integer array, or entries all Python
+    ints, as they are; anything else (a float or bool array, a mixed list)
+    entry by entry by _integer, as given, not as numpy would coerce it."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind in "iu" or all(type(x) is int for x in arr.flat):
         return arr.astype(np.intp)
-    if arr.dtype.kind == "f":
-        ok = np.isfinite(arr) & (arr == np.trunc(arr))
-    else:  # mixed or non-numeric: judge each entry as given, not as numpy coerced it
-        arr = np.asarray(values, dtype=object)
-        ok = np.array([isinstance(x, (int, np.integer))
-                       or isinstance(x, (float, np.floating)) and float(x).is_integer()
-                       for x in arr.flat], dtype=bool).reshape(arr.shape)
-    if not ok.all():
-        bad = arr.flat[np.argmin(ok)]
-        raise ValueError(f"{what} {bad.item() if isinstance(bad, np.generic) else bad!r} is not an integer")
-    return arr.astype(np.intp)
+    return np.array([_integer(x, what) for x in arr.flat], dtype=np.intp).reshape(arr.shape)
 
 
 def absorption_vector(matrix: np.ndarray) -> np.ndarray:
@@ -232,9 +239,7 @@ class Schedule:
 
     def index_at(self, n: int) -> int:
         """Index into `matrices` of the matrix acting at step n."""
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"time index must be nonnegative, got {n}")
+        n = _integer(n, "n", 0, "time index must be nonnegative, got {}")
         length = self.sequence.size
         if n < length:
             return int(self.sequence[n])
@@ -253,9 +258,7 @@ class Schedule:
         the end of an "error" schedule. Stepping loops read it instead of
         calling index_at once per step.
         """
-        start = int(start)
-        if start < 0:
-            raise ValueError(f"time index must be nonnegative, got {start}")
+        start = _integer(start, "start", 0, "time index must be nonnegative, got {}")
         seq, length = self.sequence, self.sequence.size
         if self.extension == "cycle":
             yield from itertools.cycle(np.roll(seq, -(start % length)).tolist())
@@ -288,7 +291,7 @@ def transition_operator(schedule: Schedule, n: int, m: int = 0) -> np.ndarray:
     inner times composes them: transition_operator(s, n, m) @
     transition_operator(s, m, k) equals transition_operator(s, n, k).
     """
-    n, m = int(n), int(m)
+    n, m = _integer(n, "n"), _integer(m, "m")
     if m < 0 or n < m:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     phi = np.eye(schedule.d)
@@ -312,7 +315,7 @@ class DiscreteDistribution:
     tail_mass: float
 
     def pmf(self, n: int) -> float:
-        return self.probs.get(int(n), 0.0)
+        return self.probs.get(_integer(n, "n"), 0.0)
 
     def support(self) -> list[int]:
         return sorted(self.probs)
@@ -325,15 +328,15 @@ class DiscreteDistribution:
 
     def to_array(self, length: int | None = None) -> np.ndarray:
         """Dense pmf over 0 .. length-1 (default: 0 .. max support)."""
-        if length is None:
-            length = self.max_support() + 1
-        out = np.zeros(int(length))
+        length = self.max_support() + 1 if length is None else _integer(length, "length")
+        out = np.zeros(length)
         for n, p in self.probs.items():
             if n < length:
                 out[n] = p
         return out
 
     def moment(self, k: int) -> float:
+        k = _integer(k, "k")
         return float(sum((n**k) * p for n, p in self.probs.items()))
 
     def mean(self) -> float:
@@ -350,12 +353,9 @@ class LifetimeDistribution(DiscreteDistribution):
 
 def _check_truncation(tail_tol: float, max_horizon: int) -> tuple[float, int]:
     tail_tol = float(tail_tol)
-    max_horizon = int(max_horizon)
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if max_horizon < 1:
-        raise ValueError(f"max_horizon must be at least 1, got {max_horizon}")
-    return tail_tol, max_horizon
+    return tail_tol, _integer(max_horizon, "max_horizon", 1)
 
 
 def _negligible(mass: float, t: int, order: int, tail_tol: float) -> bool:
@@ -424,10 +424,12 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
     mass times (t+1)**order is below tail_tol (order 0 for the
     distributions; see moment_tables for why moments weight the mass), and
     raises NonAbsorbingError if that has not happened within max_horizon
-    steps; tail is then None. If the engine `closes` the schedule's
-    homogeneous tail (t0, period) (see _homogeneous_tail), the loop stops
-    at t0 instead, raises as _check_absorbs does, and returns that tail for
-    the engine to close.
+    steps; tail is then None. At the first step t0 of the schedule's
+    homogeneous tail (t0, period, closable) (see _homogeneous_tail), the
+    loop raises as _check_absorbs does, so a chain with a stage that never
+    dies raises there rather than max_horizon steps on. It returns that
+    tail for the engine to close if the engine `closes` and the tail is
+    closable, and otherwise steps on.
 
     The mass is read only where the rule can hold: after a read at t, the
     steps _unchecked finds it cannot hold at, by the schedule's
@@ -436,7 +438,8 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
     reading the mass at every step.
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    tail = _homogeneous_tail(schedule, start) if closes else None
+    start = _integer(start, "start")
+    tail = _homogeneous_tail(schedule, start)
     indices, d = schedule.indices(start), schedule.d
     stop = min(tail[0], max_horizon) if tail else max_horizon
     rate = _decay_rate(schedule._absorptions)
@@ -446,7 +449,9 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
             if t >= max_horizon:
                 raise NonAbsorbingError(surviving, max_horizon)
             _check_absorbs(tail, state.ravel()[:d], order, tail_tol, max_horizon)
-            return state, tail
+            if closes and tail[2]:
+                return state, tail
+            stop = max_horizon
         n = min(1 + _unchecked(surviving, t, order, tail_tol, rate), stop - t)
         for k in itertools.islice(indices, n):
             if keep:
@@ -457,15 +462,16 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
 
 
 def _homogeneous_tail(schedule: Schedule, start: int):
-    """(t0, period): from step t0 after `start` on, `period` repeats forever.
+    """(t0, period, closable): from step t0 after `start` on, `period`
+    repeats forever.
 
     A hold-last (or constant) schedule holds its last matrix from step
     prefix_length - 1 - start; a cycle is taken from one period after
-    `start`, at phase start mod p. None when there is no such tail to close:
-    for an "error" schedule, and for a repeating chain some stage of which
-    cannot reach absorption at some phase, where no fundamental matrix exists.
+    `start`, at phase start mod p. None for an "error" schedule, which has
+    no such tail, and for a negative start, which schedule.indices refuses
+    at the first step. closable is False when some stage cannot reach
+    absorption at some phase, where no fundamental matrix exists.
     """
-    start = int(start)
     if schedule.extension == "error" or start < 0:
         return None
     if schedule.extension == "hold_last":
@@ -480,13 +486,13 @@ def _homogeneous_tail(schedule: Schedule, start: int):
         for m in reversed(range(p)):   # backwards, so one sweep follows a path once round the cycle
             dies[m] |= (period[m] > 0).T @ dies[(m + 1) % p]
         if (dies == before).all():
-            return (t0, period) if dies.all() else None
+            return t0, period, bool(dies.all())
 
 
 def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
     """Raise NonAbsorbingError as the recurrence would: if the stopping rule
-    holds at no step from t0 of tail = (t0, period), where the stage vector
-    is x, to max_horizon.
+    holds at no step from t0 of tail = (t0, period, _), where the stage
+    vector is x, to max_horizon.
 
     The period product is squared to carry x to max_horizon. The mass of x
     times the largest column sum of the powered product bounds the mass left
@@ -497,7 +503,7 @@ def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
     never rises. A smaller one may, if a moment order's weighted mass fell
     below tail_tol and rose again, so the steps are then followed one at a
     time."""
-    t0, period = tail
+    t0, period, _ = tail
     q, rest = divmod(max_horizon - t0, len(period))
     product = functools.reduce(lambda acc, H: H @ acc, period)
     y = x
@@ -581,14 +587,15 @@ def _kept_states(schedule, state, start, advance, order, tail_tol, max_horizon) 
     _homogeneous_tail). The rest is evaluated by _segment_tail, which
     applies `advance` to a batch of states (a leading axis), to the same
     horizon and with the same NonAbsorbingError."""
+    start, (tail_tol, max_horizon) = _integer(start, "start"), _check_truncation(tail_tol, max_horizon)
     kept = []
     final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance, kept.append, order,
                               state.size <= MAX_SEGMENT_STATES)
     if tail is None:
         return np.array(kept + [final])
-    (t0, period), d = tail, schedule.d
-    last = int(max_horizon) - t0
-    phases = list(itertools.islice(schedule.indices(int(start) + t0), len(period)))
+    (t0, period, _), d = tail, schedule.d
+    last = max_horizon - t0
+    phases = list(itertools.islice(schedule.indices(start + t0), len(period)))
 
     def ends(rows, j):
         return _first_negligible(rows[:, :d].sum(axis=1), t0 + j, order, tail_tol)

@@ -36,6 +36,7 @@ from .chain import (
     _as_indices,
     _check_truncation,
     _first_negligible,
+    _integer,
     _kept_states,
     _recurrence,
     _segment_tail,
@@ -69,10 +70,8 @@ class TargetSet:
     _mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = int(self.d)
+        d = _integer(self.d, "d", 1, "need at least one stage")
         members = frozenset(_as_indices(list(self.members), "target member").tolist())
-        if d < 1:
-            raise ValueError("need at least one stage")
         bad = [i for i in members if not 0 <= i < d]
         if bad:
             raise ValueError(f"stage indices {bad} outside 0..{d - 1}")
@@ -94,7 +93,7 @@ class TargetSet:
 
     @classmethod
     def all_states(cls, d: int) -> "TargetSet":
-        return cls(d, frozenset(range(int(d))))
+        return cls(d, frozenset(range(_integer(d, "d"))))
 
     @property
     def mask(self) -> np.ndarray:
@@ -107,7 +106,7 @@ class TargetSet:
         return np.diag(self._mask)
 
     def __contains__(self, index) -> bool:
-        return int(index) in self.members
+        return _integer(index, "index") in self.members
 
 
 class OccupancyDistribution(DiscreteDistribution):
@@ -173,7 +172,7 @@ class JointOccupancyTable:
         return self.values[0].shape[1]
 
     def _elapsed(self, n: int) -> int:
-        t = int(n) - self.start
+        t = _integer(n, "n") - self.start
         if not 0 <= t <= self.horizon:
             raise ValueError(f"time {n} outside table range {self.start}..{self.start + self.horizon}")
         return t
@@ -181,7 +180,7 @@ class JointOccupancyTable:
     def joint(self, a: int, n: int) -> np.ndarray:
         """Per-stage probabilities of (occupancy == a, alive) at time n."""
         t = self._elapsed(n)
-        a = int(a)
+        a = _integer(a, "a")
         if a < 0 or a > t:
             return np.zeros(self.d)
         return self.values[t][a]
@@ -197,7 +196,7 @@ class JointOccupancyTable:
     def moment_vector(self, k: int, n: int) -> np.ndarray:
         """Per-stage k-th occupancy moments sum_a a^k p(a, n)."""
         rows = self.values[self._elapsed(n)]
-        weights = np.arange(rows.shape[0], dtype=float) ** k
+        weights = np.arange(rows.shape[0], dtype=float) ** _integer(k, "k")
         return weights @ rows
 
 
@@ -466,12 +465,12 @@ class MomentTable:
         return self.values.shape[0] - 1
 
     def vector(self, k: int, n: int) -> np.ndarray:
-        t = int(n) - self.start
+        t, k = _integer(n, "n") - self.start, _integer(k, "k")
         if not 0 <= t <= self.horizon:
             raise ValueError(f"time {n} outside table range {self.start}..{self.start + self.horizon}")
-        if not 0 <= int(k) <= self.order:
+        if not 0 <= k <= self.order:
             raise ValueError(f"moment order {k} outside 0..{self.order}")
-        return self.values[t, int(k)]
+        return self.values[t, k]
 
 
 def moment_tables(
@@ -500,9 +499,7 @@ def moment_tables(
     A hold-last or cycle tail is evaluated by segments (see
     chain._kept_states), to the same horizon and with the same errors.
     """
-    order = int(order)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    order = _integer(order, "order", 0)
     with _overflow_named(order):
         M, advance = _moment_start(schedule, initial, target, order, [U.T for U in schedule.matrices])
         values = _kept_states(schedule, M, start, advance, order, tail_tol, max_horizon)
@@ -529,9 +526,7 @@ def occupancy_moments(
     where it becomes homogeneous (see _homogeneous_tail) is closed there
     exactly by _closed_moments, with no truncation error.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    order = _integer(order, "order", 1)
     d = schedule.d
     steps = [_absorbing_step(U, b) for U, b in zip(schedule.matrices, schedule._absorptions)]
     with _overflow_named(order):

@@ -43,6 +43,7 @@ from .chain import (
     Schedule,
     _check_truncation,
     _decay_rate,
+    _integer,
     _unchecked,
     absorption_vector,
     validate_matrix,
@@ -114,9 +115,7 @@ class RandomEnvironmentSpec:
 
 def sample_schedule(spec: RandomEnvironmentSpec, length: int, rng: np.random.Generator) -> Schedule:
     """Draw one environment sequence of the given length (hold-last past it)."""
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"sequence length must be at least 1, got {length}")
+    length = _integer(length, "length", 1, "sequence length must be at least 1, got {}")
     return Schedule(spec.matrices, np.searchsorted(_cdf(spec), rng.random(length), side="right"), "hold_last")
 
 
@@ -146,9 +145,7 @@ class TwoLevelStats:
 
 
 def _seed_entropy(seed) -> tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(x) for x in seed)
-    return (int(seed),)
+    return tuple(_integer(x, "seed") for x in (seed if isinstance(seed, (tuple, list)) else (seed,)))
 
 
 def two_level_stats(
@@ -176,16 +173,11 @@ def two_level_stats(
     mean(m^2) - mean^2, and total_variance is computed as
     mean_within_variance + between_variance.
     """
-    n_sequences = int(n_sequences)
-    if n_sequences < 2:
-        raise ValueError(f"need at least 2 sequences, got {n_sequences}")
+    n_sequences = _integer(n_sequences, "n_sequences", 2, "need at least 2 sequences, got {}")
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    length = max_horizon if sample_length is None else int(sample_length)
-    if length < 1:
-        raise ValueError(f"sequence length must be at least 1, got {length}")
-    start = int(start)
-    if start < 0:
-        raise ValueError(f"start must be nonnegative, got {start}")
+    length = max_horizon if sample_length is None else _integer(
+        sample_length, "sample_length", 1, "sequence length must be at least 1, got {}")
+    start = _integer(start, "start", 0)
     d, absorptions = spec.d, [absorption_vector(U) for U in spec.matrices]
     steps = np.stack([_absorbing_step(U, a) for U, a in zip(spec.matrices, absorptions)])
     M, advance = _moment_start(spec, initial, target, 2, steps)

@@ -41,6 +41,7 @@ from .chain import (
     LifetimeDistribution,
     Schedule,
     StateSpace,
+    _integer,
     validate_distribution,
     validate_matrix,
 )
@@ -83,6 +84,9 @@ class RandomSchedule:
     probabilities: dict[str, float]
     length: int | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "length", None if self.length is None else _integer(self.length, "length", 1))
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
@@ -97,20 +101,17 @@ class ScenarioConfig:
     tail_tol: float = DEFAULT_TAIL_TOL
     max_horizon: int = DEFAULT_MAX_HORIZON
 
+    def __post_init__(self):
+        object.__setattr__(self, "start", _integer(self.start, "start", 0))
+        object.__setattr__(self, "max_horizon", _integer(self.max_horizon, "max_horizon", 1))
+
     def __eq__(self, other):
+        """Equal when dump_scenario writes both alike: the matrices, their
+        order and a random schedule's probabilities in their order included,
+        and -0.0 apart from 0.0."""
         if not isinstance(other, ScenarioConfig):
             return NotImplemented
-        return (
-            self.states == other.states
-            and list(self.matrices) == list(other.matrices)
-            and all(np.array_equal(self.matrices[k], other.matrices[k]) for k in self.matrices)
-            and self.schedule_spec == other.schedule_spec
-            and np.array_equal(self.initial, other.initial)
-            and self.target_labels == other.target_labels
-            and self.start == other.start
-            and self.tail_tol == other.tail_tol
-            and self.max_horizon == other.max_horizon
-        )
+        return dump_scenario(self) == dump_scenario(other)
 
     def target_set(self) -> TargetSet:
         return TargetSet.from_labels(self.states, self.target_labels)

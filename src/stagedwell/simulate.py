@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .chain import DEFAULT_MAX_HORIZON, DiscreteDistribution, Schedule
+from .chain import DEFAULT_MAX_HORIZON, DiscreteDistribution, Schedule, _integer
 from .errors import NonTerminatingError
 from .occupancy import TargetSet, _occupancy_start
 
@@ -119,11 +119,11 @@ def simulate_trajectory(
     the steps whose pre-transition stage lies in the target set, matching
     the analytic convention.
     """
+    start, step_cap = _integer(start, "start"), _integer(step_cap, "step_cap", 0)
     thresholds, inc, vcum = _prepare(schedule, initial, target)
     path = [] if record_path else None
     lifetime, occupancy = _simulate_rows(
-        schedule, thresholds, inc, vcum, int(start), rng, 1, np.zeros(1, dtype=np.intp),
-        int(step_cap), path,
+        schedule, thresholds, inc, vcum, start, rng, 1, np.zeros(1, dtype=np.intp), step_cap, path,
     )
     return TrajectoryOutcome(
         lifetime=int(lifetime[0]),
@@ -212,12 +212,8 @@ def empirical_distribution(
     about 4 s for a full block and 1.5 s for one row at the default cap on
     a 2-core x86_64 host.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    lo = int(first_index)
-    if lo < 0:
-        raise ValueError(f"first_index must be nonnegative, got {lo}")
+    n_samples, lo = _integer(n_samples, "n_samples", 1), _integer(first_index, "first_index", 0)
+    start, seed, step_cap = _integer(start, "start"), _integer(seed, "seed"), _integer(step_cap, "step_cap", 0)
     thresholds, inc, vcum = _prepare(schedule, initial, target)
     hi = lo + n_samples
     occ: Counter = Counter()
@@ -226,8 +222,7 @@ def empirical_distribution(
         base = block * BLOCK
         rows = np.arange(max(lo - base, 0), min(hi - base, BLOCK))
         lifetime, occupancy = _simulate_rows(
-            schedule, thresholds, inc, vcum, int(start),
-            np.random.default_rng((int(seed), block)), BLOCK, rows, int(step_cap),
+            schedule, thresholds, inc, vcum, start, np.random.default_rng((seed, block)), BLOCK, rows, step_cap,
         )
         _tally(life, lifetime)
         _tally(occ, occupancy)
@@ -245,7 +240,7 @@ def total_variation(
 ) -> float:
     """Total variation distance between a truncated analytic distribution and
     an empirical histogram, charging the analytic tail mass as unmatched."""
-    n_samples = int(n_samples)
+    n_samples = _integer(n_samples, "n_samples", 1)
     points = set(dist.probs) | set(counts)
     diff = sum(abs(dist.pmf(a) - counts.get(a, 0) / n_samples) for a in points)
     return 0.5 * (diff + dist.tail_mass)

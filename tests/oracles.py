@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's recurrences. The brute-force oracle
-sums over every individual path of the chain in pure Python; the phase-type
+These deliberately avoid the package's recurrences. The brute-force oracles
+sum over every individual path of the chain, listed as numpy arrays for the
+lifetime and occupancy joint and walked in pure Python otherwise; the phase-type
 oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers; the
 mean oracles close an infinite horizon with a fundamental matrix (I - G)^-1;
 the moment-table oracle carries the whole occupancy table p(a, j) forward
@@ -19,17 +20,41 @@ def brute_force_joint(matrices, v, target_indices, horizon):
     `matrices` drive steps 0 .. horizon-1 (column convention, plain nested
     sequences); any individual still alive at time `horizon` is killed on the
     following step. Occupancy counts the stage occupied before each
-    transition, including the forced final one. Cost is O(d^horizon): keep
+    transition, including the forced final one. Every path of nonzero
+    probability is listed, one array entry per path in the order of a
+    depth-first walk: at step t each path of t steps dies or moves to each
+    of the d stages, its probability the product of its initial entry and
+    its transition entries, in path order. Cost is O(d^horizon): keep
     d <= 3 and horizon <= 12.
     """
     d = len(v)
+    in_target = np.isin(np.arange(d), list(target_indices)).astype(int)
+    joint = defaultdict(float)
+    stage, prob, occ = np.arange(d), np.array(v, dtype=float), np.zeros(d, dtype=int)
+    for t in range(horizon + 1):
+        live = prob != 0.0
+        stage, prob = stage[live], prob[live]
+        occ = occ[live] + in_target[stage]
+        if t < horizon:
+            B = np.array(matrices[t], dtype=float)
+            died = prob * (1.0 - B.sum(axis=0))[stage]
+        else:
+            died = prob
+        sums = np.bincount(occ, weights=died)
+        for a in np.unique(occ).tolist():
+            joint[(t + 1, a)] += float(sums[a])
+        if t < horizon:   # path p moving to stage i becomes path p * d + i
+            prob = (prob[:, None] * B[:, stage].T).ravel()
+            stage, occ = np.tile(np.arange(d), stage.size), occ.repeat(d)
+    return dict(joint)
+
+
+def walked_joint(matrices, v, target_indices, horizon):
+    """brute_force_joint by a depth-first walk over the same paths, one
+    Python call per path step: the reference the path arrays are checked
+    against. Keep d <= 3 and horizon <= 8."""
+    d = len(v)
     in_target = [1 if j in set(target_indices) else 0 for j in range(d)]
-    cols = []  # cols[t][j] = list of (next_state, prob), plus death deficit
-    deaths = []
-    for t in range(horizon):
-        B = matrices[t]
-        cols.append([[(i, B[i][j]) for i in range(d)] for j in range(d)])
-        deaths.append([1.0 - sum(B[i][j] for i in range(d)) for j in range(d)])
     joint = defaultdict(float)
 
     def walk(t, j, prob, occ):
@@ -39,9 +64,9 @@ def brute_force_joint(matrices, v, target_indices, horizon):
         if t == horizon:
             joint[(t + 1, occ)] += prob
             return
-        joint[(t + 1, occ)] += prob * deaths[t][j]
-        for i, p in cols[t][j]:
-            walk(t + 1, i, prob * p, occ)
+        joint[(t + 1, occ)] += prob * (1.0 - sum(matrices[t][i][j] for i in range(d)))
+        for i in range(d):
+            walk(t + 1, i, prob * matrices[t][i][j], occ)
 
     for j in range(d):
         walk(0, j, float(v[j]), 0)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
+from stagedwell.scenario import RandomSchedule
 from helpers import listed_steps, random_distribution, random_schedule, random_substochastic
 from oracles import periodic_phase_type_pmf, phase_type_pmf
 
@@ -420,3 +423,128 @@ class TestStateSpace:
 
     def test_numbered(self):
         assert sw.StateSpace.numbered(2).labels == ("s0", "s1")
+
+
+def _integer_rule_cases():
+    """(call, message) pairs: each passes one count, time or index argument
+    the public API refuses, a value that is not an integer or, where that
+    check is new, one below its bound."""
+    sched = sw.Schedule.explicit([[[0.5, 0.0], [0.3, 0.4]], [[0.2, 0.1], [0.6, 0.5]]], [0, 1, 0], "cycle")
+    v, target = [0.6, 0.4], sw.TargetSet(2, frozenset({1}))
+    spec = sw.RandomEnvironmentSpec(("a", "b"), sched.matrices, [0.5, 0.5])
+    dist = sw.lifetime_distribution(sched, v)
+    joint = sw.evolve_joint(sched, v, target)
+    table = sw.moment_tables(sched, v, target, order=2)
+    return {
+        "start": (lambda: sw.occupancy_moments(sched, v, target, start=2.7), "start 2.7 is not an integer"),
+        "start-bool": (lambda: sw.moment_tables(sched, v, target, start=True), "start True is not an integer"),
+        "order": (lambda: sw.occupancy_moments(sched, v, target, order=2.9), "order 2.9 is not an integer"),
+        "table-order": (lambda: sw.moment_tables(sched, v, target, order=1.5), "order 1.5 is not an integer"),
+        "max_horizon": (lambda: sw.lifetime_distribution(sched, v, max_horizon=100.5),
+                        "max_horizon 100.5 is not an integer"),
+        "n_sequences": (lambda: sw.two_level_stats(spec, v, target, n_sequences=5.9), "n_sequences 5.9 is not an integer"),
+        "sample_length": (lambda: sw.two_level_stats(spec, v, target, n_sequences=2, sample_length=3.5),
+                          "sample_length 3.5 is not an integer"),
+        "seed": (lambda: sw.two_level_stats(spec, v, target, n_sequences=2, seed=1.5), "seed 1.5 is not an integer"),
+        "seed-tuple": (lambda: sw.simplex_sweep([("a", sched.matrices[0]), ("b", sched.matrices[1]),
+                                                 ("c", sched.matrices[0])], 0.5, v, target, n_sequences=2,
+                                                seed=(1, 0.5)), "seed 0.5 is not an integer"),
+        "two-level-start": (lambda: sw.two_level_stats(spec, v, target, n_sequences=2, start=0.5),
+                            "start 0.5 is not an integer"),
+        "length": (lambda: sw.sample_schedule(spec, 3.5, np.random.default_rng(0)), "length 3.5 is not an integer"),
+        "n_samples": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10.7),
+                      "n_samples 10.7 is not an integer"),
+        "first_index": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10, first_index=0.5),
+                        "first_index 0.5 is not an integer"),
+        "step_cap": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10, step_cap=-5),
+                     "step_cap must be nonnegative, got -5"),
+        "sample-seed": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10, seed=1.5),
+                        "seed 1.5 is not an integer"),
+        "trajectory-start": (lambda: sw.simulate_trajectory(sched, v, target, np.random.default_rng(0), start=1.5),
+                             "start 1.5 is not an integer"),
+        "trajectory-step_cap": (lambda: sw.simulate_trajectory(sched, v, target, np.random.default_rng(0), step_cap=9.5),
+                                "step_cap 9.5 is not an integer"),
+        "total_variation": (lambda: sw.total_variation(dist, {1: 3}, 3.5), "n_samples 3.5 is not an integer"),
+        "index_at": (lambda: sched.index_at("3"), "n '3' is not an integer"),
+        "indices": (lambda: next(sched.indices(1.5)), "start 1.5 is not an integer"),
+        "transition_operator": (lambda: sw.transition_operator(sched, 2.5), "n 2.5 is not an integer"),
+        "numbered": (lambda: sw.StateSpace.numbered(2.5), "d 2.5 is not an integer"),
+        "target-d": (lambda: sw.TargetSet(2.5, frozenset({0})), "d 2.5 is not an integer"),
+        "all_states": (lambda: sw.TargetSet.all_states(2.5), "d 2.5 is not an integer"),
+        "contains": (lambda: 1.5 in target, "index 1.5 is not an integer"),
+        "pmf": (lambda: dist.pmf(1.5), "n 1.5 is not an integer"),
+        "to_array": (lambda: dist.to_array(2.5), "length 2.5 is not an integer"),
+        "moment": (lambda: dist.moment(1.5), "k 1.5 is not an integer"),
+        "joint": (lambda: joint.joint(0.5, 1), "a 0.5 is not an integer"),
+        "mass": (lambda: joint.mass(1.5), "n 1.5 is not an integer"),
+        "moment_vector": (lambda: joint.moment_vector(1.5, 1), "k 1.5 is not an integer"),
+        "vector": (lambda: table.vector(1, 0.5), "n 0.5 is not an integer"),
+        "vector-k": (lambda: table.vector(np.float64(1.5), 0), "k 1.5 is not an integer"),
+        "scenario-start": (lambda: dataclasses.replace(sw.builtin_fulmar_scenario(), start=2.5),
+                           "start 2.5 is not an integer"),
+        "scenario-max_horizon": (lambda: dataclasses.replace(sw.builtin_fulmar_scenario(), max_horizon=np.int64(0)),
+                                 "max_horizon must be at least 1, got 0"),
+        "random-schedule-length": (lambda: RandomSchedule({"a": 1.0}, 10.5), "length 10.5 is not an integer"),
+    }
+
+
+class TestIntegerRule:
+    """Every count, time and index argument of the public API takes
+    integers, numpy integers and integral floats, and refuses anything
+    else, bools included, with a ValueError naming the argument, rather
+    than truncating it."""
+
+    @pytest.mark.parametrize("case", list(_integer_rule_cases()))
+    def test_non_integral_argument_raises(self, case):
+        call, message = _integer_rule_cases()[case]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_integral_values_give_the_int_answer(self):
+        sched = sw.Schedule.explicit([[[0.5, 0.0], [0.3, 0.4]], [[0.2, 0.1], [0.6, 0.5]]], [0, 1, 0], "cycle")
+        v, target = [0.6, 0.4], sw.TargetSet(2, frozenset({1}))
+        expected = sw.occupancy_moments(sched, v, target, start=2, order=3, max_horizon=500)
+        for kind in (np.int64, np.int32, float, np.float64):
+            got = sw.occupancy_moments(sched, v, target, start=kind(2), order=kind(3), max_horizon=kind(500))
+            assert got == expected
+        assert sched.index_at(4.0) == sched.index_at(np.uint8(4)) == sched.index_at(4)
+        # a small numpy start is converted before step counts are added to it
+        long = sw.Schedule.explicit([[[0.5]], [[0.6]]], [0] * 300 + [1])
+        assert sw.lifetime_distribution(long, [1.0], start=np.uint8(250)) == sw.lifetime_distribution(long, [1.0], start=250)
+        tables = [sw.moment_tables(long, [1.0], sw.TargetSet(1, {0}), start=start) for start in (np.uint8(250), 250)]
+        assert tables[0].start == 250 and np.array_equal(tables[0].values, tables[1].values)
+
+    @pytest.mark.parametrize("values", [[True, False], [0, True], [0.0, True], np.array([True, False])],
+                             ids=["bools", "int-and-bool", "float-and-bool", "bool-array"])
+    def test_bools_are_not_sequence_entries(self, values):
+        with pytest.raises(ValueError, match="sequence entry True is not an integer"):
+            sw.Schedule.explicit([[[0.2]], [[0.7]]], values)
+
+    def test_float_arrays_are_judged_by_value(self):
+        mats = [[[0.2]], [[0.7]]]
+        assert sw.Schedule.explicit(mats, np.array([1.0, 0.0])).sequence.tolist() == [1, 0]
+        for bad, named in ((np.array([0.0, 0.5]), "0.5"), (np.array([np.nan]), "nan"),
+                           (np.array([1.0], dtype=np.float32) / 3, "0.3333333432674408")):
+            with pytest.raises(ValueError, match=f"^sequence entry {named} is not an integer$"):
+                sw.Schedule.explicit(mats, bad)
+
+    @pytest.mark.parametrize("members", [{True}, {0, True}, {np.True_}], ids=["bool", "int-and-bool", "numpy-bool"])
+    def test_bools_are_not_target_members(self, members):
+        with pytest.raises(ValueError, match="target member True is not an integer"):
+            sw.TargetSet(2, members)
+
+    def test_range_messages_are_unchanged(self):
+        sched = sw.Schedule.constant([[0.5]])
+        with pytest.raises(ValueError, match=r"^time index must be nonnegative, got -1$"):
+            sched.index_at(-1)
+        with pytest.raises(ValueError, match=r"^time index must be nonnegative, got -2$"):
+            next(sched.indices(-2.0))
+        with pytest.raises(ValueError, match=r"^max_horizon must be at least 1, got 0$"):
+            sw.lifetime_distribution(sched, [1.0], max_horizon=np.int64(0))
+        with pytest.raises(ValueError, match=r"^order must be at least 1, got 0$"):
+            sw.occupancy_moments(sched, [1.0], sw.TargetSet(1, frozenset()), order=0.0)
+        with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
+            sw.moment_tables(sched, [1.0], sw.TargetSet(1, frozenset()), order=-1)
+        with pytest.raises(ValueError, match=r"^need 0 <= m <= n, got m=3, n=2$"):
+            sw.transition_operator(sched, 2, 3.0)

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 import stagedwell as sw
 from helpers import random_distribution, random_schedule, random_substochastic, random_target
-from oracles import brute_force_alive, brute_force_moment, brute_force_occupancy, forward_moment_table
+from oracles import (brute_force_alive, brute_force_joint, brute_force_moment, brute_force_occupancy,
+                     forward_moment_table, walked_joint)
 
 # Two-stage chain where stage 1 is the target: from stage 0 move to 1 or die
 # (half/half), from stage 1 stay or die. tau is 0 with prob 1/2 and
@@ -197,6 +198,18 @@ class TestOccupancyDistribution:
                 expected = brute_force_occupancy([m.tolist() for m in mats], v, members, horizon)
                 for a, p in expected.items():
                     assert dist.pmf(a) == pytest.approx(p, rel=0, abs=1e-12), (a, d, horizon, members)
+
+    def test_brute_force_lists_the_paths_it_would_walk(self):
+        # the oracle's path arrays against a depth-first walk, to the bit,
+        # zero entries (paths it drops) included
+        rng = np.random.default_rng(78)
+        for _ in range(40):
+            d, horizon = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+            mats = [rng.uniform(0.0, 1.0, (d, d)) * (rng.random((d, d)) < 0.8) for _ in range(horizon)]
+            mats = [(m / max(m.sum(axis=0).max(), 1.0) * rng.uniform(0.3, 1.0)).tolist() for m in mats]
+            v = random_distribution(rng, d)
+            members = [j for j in range(d) if rng.random() < 0.5]
+            assert brute_force_joint(mats, v, members, horizon) == walked_joint(mats, v, members, horizon)
 
     def test_start_offset(self):
         rng = np.random.default_rng(4)
@@ -683,6 +696,20 @@ def _every_step_checked(run):
         return _outcome(run)
 
 
+def _steps_drawn(run):
+    """(_outcome of run, the schedule steps it drew from Schedule.indices)."""
+    drawn, indices = 0, sw.Schedule.indices
+
+    def counted(schedule, start=0):
+        nonlocal drawn
+        for k in indices(schedule, start):
+            drawn += 1
+            yield k
+
+    with mock.patch.object(sw.Schedule, "indices", counted):
+        return _outcome(run), drawn
+
+
 class TestSkippedChecks:
     """The stepping loop and the sampler read the stopping mass only where
     the rule can hold; reading it at every step gives the same results bit
@@ -720,18 +747,35 @@ class TestSkippedChecks:
 
     @pytest.mark.parametrize("max_horizon", [60, 2000, sw.DEFAULT_MAX_HORIZON])
     def test_immortal_stage_raises_as_when_checking_every_step(self, max_horizon):
-        # stage 1 never dies, so nothing closes and every engine steps to
-        # max_horizon; at the default only the cheapest one does, in time
+        # stage 1 never dies, so the held matrix cannot be closed; every
+        # exact engine raises at the tail's first step, step 0, having drawn
+        # only the held matrix, while the sampler keeps its own loop and
+        # steps to max_horizon (too slow at the default)
         sched = sw.Schedule.constant([[0.5, 0.0], [0.3, 1.0]])
         target = sw.TargetSet(2, frozenset({0}))
         spec = sw.RandomEnvironmentSpec(("a", "b"), (sched.matrices[0], [[0.9, 0.0], [0.05, 1.0]]), [0.5, 0.5])
-        runs = [lambda name=name: ENGINES[name](sched, [1.0, 0.0], target, max_horizon=max_horizon)
-                for name in ENGINES]
-        runs.append(lambda: sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=2, max_horizon=max_horizon))
-        for run in runs[:1] if max_horizon == sw.DEFAULT_MAX_HORIZON else runs:
+        for name in ENGINES:
+            run = lambda: ENGINES[name](sched, [1.0, 0.0], target, max_horizon=max_horizon)
+            got, drawn = _steps_drawn(run)
+            assert got[0] == "NonAbsorbingError"
+            assert got == _every_step_checked(run)
+            assert drawn == 1, name
+        if max_horizon < sw.DEFAULT_MAX_HORIZON:
+            run = lambda: sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=2, max_horizon=max_horizon)
             got = _outcome(run)
             assert got[0] == "NonAbsorbingError"
             assert got == _every_step_checked(run)
+
+    @pytest.mark.parametrize("engine", ["lifetime_distribution", "moment_tables"])
+    def test_segmented_tail_raises_if_the_check_missed(self, engine):
+        # 0.999**50 of the mass is alive at max_horizon, so _check_absorbs
+        # raises at the closing step; with it patched out, the segmented
+        # tail must find that itself and raise as the recurrence would
+        with mock.patch.object(sw.chain, "_check_absorbs", lambda *args: None), \
+                pytest.raises(sw.NonAbsorbingError) as info:
+            ENGINES[engine](sw.Schedule.constant([[0.999]]), [1.0], sw.TargetSet(1, frozenset()), max_horizon=50)
+        assert info.value.horizon == 50
+        assert info.value.surviving_mass == pytest.approx(0.999**50, rel=1e-12)
 
     @pytest.mark.parametrize("max_horizon", [60, sw.DEFAULT_MAX_HORIZON])
     def test_fulmar_order_90(self, max_horizon):

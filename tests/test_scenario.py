@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -230,6 +231,27 @@ class TestParseScenario:
         ):
             config = sw.parse_scenario(text)
             assert sw.parse_scenario(sw.dump_scenario(config)) == config
+
+    def test_equality_is_that_of_the_dumped_scenario(self):
+        # reordered weights name the conditions in another order, which
+        # conditions() and env-sweep's columns follow
+        matrices = {"A": [[0.5]], "B": [[0.25]], "C": [[0.1]]}
+        base = dict(matrices=matrices, states=["only"], initial=[1.0], target_set=["only"])
+        one = sw.parse_scenario(minimal_text(**base, schedule={
+            "kind": "random", "probabilities": {"A": 0.5, "B": 0.3, "C": 0.2}}))
+        other = sw.parse_scenario(minimal_text(**base, schedule={
+            "kind": "random", "probabilities": {"C": 0.2, "B": 0.3, "A": 0.5}}))
+        assert [name for name, _ in one.conditions()] != [name for name, _ in other.conditions()]
+        assert one != other
+        assert one == sw.parse_scenario(sw.dump_scenario(one))
+        # numpy integers are held as the ints the dump writes
+        assert dataclasses.replace(one, start=np.int64(3), max_horizon=np.int32(50)) == \
+            dataclasses.replace(one, start=3, max_horizon=50.0)
+        spec = one.schedule_spec
+        assert dataclasses.replace(one, schedule_spec=RandomSchedule(spec.probabilities, np.int64(10))) == \
+            dataclasses.replace(one, schedule_spec=RandomSchedule(spec.probabilities, 10))
+        signed = sw.parse_scenario(minimal_text(matrices={"M": [[-0.0, 0.0], [0.5, 0.6]]}))
+        assert signed != sw.parse_scenario(minimal_text(matrices={"M": [[0.0, 0.0], [0.5, 0.6]]}))
 
 
 class TestBuiltinFulmar:
