@@ -17,7 +17,7 @@ import stagedwell as sw
 def main() -> None:
     data = sw.builtin_fulmar()
     states = data.states
-    target = sw.TargetSet.from_labels(states, ("successful breeder", "failed breeder"))
+    target = data.target_set()  # the two breeder stages
 
     header = f"{'condition':12s} {'start stage':20s} {'E[life]':>9s} " \
              f"{'E[tau]':>9s} {'Var[tau]':>9s} {'CV':>7s}"

@@ -13,8 +13,6 @@ Usage: python3 scripts/fulmar_entry_year.py [--years N]
 import argparse
 import sys
 
-import numpy as np
-
 import stagedwell as sw
 
 # favourable/ordinary/unfavourable labels; rough decadal alternation with a
@@ -39,10 +37,8 @@ def main(argv=None) -> int:
     indices = [order.index(key[s]) for s in SEQUENCE]
     schedule = sw.Schedule.explicit(list(data.matrices.values()), indices)
 
-    target = sw.TargetSet.from_labels(
-        data.states, ("successful breeder", "failed breeder"))
-    v = np.zeros(data.states.d)
-    v[0] = 1.0  # pre-breeder
+    target = data.target_set()  # the two breeder stages
+    v = data.initial  # a pre-breeder
 
     if not 0 < args.years <= len(SEQUENCE):
         parser.error(f"--years must be in 1..{len(SEQUENCE)}")

@@ -84,7 +84,6 @@ def _load_config(args) -> tuple[ScenarioConfig, dict]:
             updates[name] = getattr(args, name)
     if updates:
         config = dataclasses.replace(config, **updates)
-    config.target_set()  # surface bad target labels before any computation
     return config, dict(start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon)
 
 

@@ -7,14 +7,6 @@ probabilities of a stage; the deficit of each column from 1 is that stage's
 yearly mortality.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-from .chain import StateSpace, validate_matrix
-
 FULMAR_STATES = (
     "pre-breeder",
     "successful breeder",
@@ -48,25 +40,5 @@ _UNFAVOURABLE = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class FulmarDataset:
-    """Stage labels plus the three yearly transition matrices U_f, U_o, U_u."""
-
-    states: StateSpace
-    matrices: dict[str, np.ndarray]
-
-    def conditions(self) -> list[tuple[str, np.ndarray]]:
-        """(name, matrix) pairs in favourable, ordinary, unfavourable order."""
-        return list(self.matrices.items())
-
-
-def builtin_fulmar() -> FulmarDataset:
-    """The Southern Fulmar matrices, validated, keyed U_f / U_o / U_u."""
-    return FulmarDataset(
-        states=StateSpace(FULMAR_STATES),
-        matrices={
-            "U_f": validate_matrix(_FAVOURABLE),
-            "U_o": validate_matrix(_ORDINARY),
-            "U_u": validate_matrix(_UNFAVOURABLE),
-        },
-    )
+# the yearly matrices by condition, in favourable, ordinary, unfavourable order
+FULMAR_MATRICES = {"U_f": _FAVOURABLE, "U_o": _ORDINARY, "U_u": _UNFAVOURABLE}

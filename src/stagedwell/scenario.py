@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +41,21 @@ from .chain import (
     LifetimeDistribution,
     Schedule,
     StateSpace,
+    _check_truncation,
     _integer,
     validate_distribution,
     validate_matrix,
 )
-from .datasets import FULMAR_BREEDING_STATES, builtin_fulmar
+from .datasets import FULMAR_BREEDING_STATES, FULMAR_MATRICES, FULMAR_STATES
 from .errors import (
     InvalidDistributionError,
     MatrixValidationError,
     ScenarioError,
     ScenarioParseError,
-    UnknownLabelError,
     UnknownMatrixError,
 )
 from .occupancy import TargetSet
-from .randomenv import (PROBABILITY_SUM_TOL, RandomEnvironmentSpec, SweepPoint, TwoLevelStats,
-                        sample_schedule)
+from .randomenv import RandomEnvironmentSpec, SweepPoint, TwoLevelStats, sample_schedule
 from .simulate import EmpiricalSummary
 
 COLUMN_CONVENTION = "column-stochastic-convention"
@@ -85,12 +84,18 @@ class RandomSchedule:
     length: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "probabilities", {n: float(w) for n, w in self.probabilities.items()})
         object.__setattr__(self, "length", None if self.length is None else _integer(self.length, "length", 1))
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Fully validated scenario, ready to hand to the engines."""
+    """A scenario ready to hand to the engines. Every construction, by
+    parse_scenario, builtin_fulmar or dataclasses.replace, checks that the
+    schedule names known matrices, `initial` is a distribution, the target
+    labels are stages, a random schedule's weights make a
+    RandomEnvironmentSpec, and start, tail_tol and max_horizon are in
+    range; matrices are checked where they are read."""
 
     states: StateSpace
     matrices: dict[str, np.ndarray]
@@ -100,10 +105,28 @@ class ScenarioConfig:
     start: int = 0
     tail_tol: float = DEFAULT_TAIL_TOL
     max_horizon: int = DEFAULT_MAX_HORIZON
+    _target: TargetSet = field(init=False, repr=False)
+    _spec: RandomEnvironmentSpec | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        spec = self.schedule_spec
+        weights = spec.probabilities if isinstance(spec, RandomSchedule) else None
+        names = (spec.matrix,) if isinstance(spec, ConstantSchedule) else spec.sequence if weights is None \
+            else tuple(weights)
+        for name in names:
+            if name not in self.matrices:
+                raise UnknownMatrixError(name, self.matrices)
+        object.__setattr__(self, "_spec", None if weights is None else RandomEnvironmentSpec(
+            names, tuple(self.matrices[n] for n in names), np.array(list(weights.values()))))
+        try:
+            object.__setattr__(self, "initial", validate_distribution(self.initial, self.states.d))
+        except InvalidDistributionError as exc:
+            raise InvalidDistributionError(f"initial: {exc}") from None
+        object.__setattr__(self, "_target", TargetSet.from_labels(self.states, self.target_labels))
         object.__setattr__(self, "start", _integer(self.start, "start", 0))
-        object.__setattr__(self, "max_horizon", _integer(self.max_horizon, "max_horizon", 1))
+        tail_tol, max_horizon = _check_truncation(self.tail_tol, self.max_horizon)
+        object.__setattr__(self, "tail_tol", tail_tol)
+        object.__setattr__(self, "max_horizon", max_horizon)
 
     def __eq__(self, other):
         """Equal when dump_scenario writes both alike: the matrices, their
@@ -114,20 +137,15 @@ class ScenarioConfig:
         return dump_scenario(self) == dump_scenario(other)
 
     def target_set(self) -> TargetSet:
-        return TargetSet.from_labels(self.states, self.target_labels)
+        return self._target
 
     def is_random(self) -> bool:
-        return isinstance(self.schedule_spec, RandomSchedule)
+        return self._spec is not None
 
     def random_spec(self) -> RandomEnvironmentSpec:
-        if not self.is_random():
+        if self._spec is None:
             raise ScenarioError("scenario schedule is deterministic, not random")
-        names = list(self.schedule_spec.probabilities)
-        return RandomEnvironmentSpec(
-            labels=tuple(names),
-            matrices=tuple(self.matrices[n] for n in names),
-            probabilities=np.array([self.schedule_spec.probabilities[n] for n in names]),
-        )
+        return self._spec
 
     def build_schedule(self, rng: np.random.Generator | None = None) -> Schedule:
         """Concrete schedule for this scenario.
@@ -145,14 +163,13 @@ class ScenarioConfig:
         if rng is None:
             raise ScenarioError("a random scenario needs a random generator to realize a schedule")
         length = spec.length if spec.length is not None else self.max_horizon
-        return sample_schedule(self.random_spec(), length, rng)
+        return sample_schedule(self._spec, length, rng)
 
     def conditions(self) -> list[tuple[str, np.ndarray]]:
         """(name, matrix) pairs: a random schedule's conditions in the order
         its probabilities name them, else every matrix in file order."""
-        if self.is_random():
-            spec = self.random_spec()
-            return list(zip(spec.labels, spec.matrices))
+        if self._spec is not None:
+            return list(zip(self._spec.labels, self._spec.matrices))
         return list(self.matrices.items())
 
 
@@ -165,6 +182,16 @@ def _require(raw: dict, key: str):
     if key not in raw:
         raise ScenarioParseError(key, "required field is missing")
     return raw[key]
+
+
+def _count(value, loc: str, least: int) -> int:
+    """value as an int of at least `least` by chain._integer's rule, or a
+    ScenarioParseError at loc."""
+    try:
+        return _integer(value, loc, least)
+    except ValueError:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ScenarioParseError(loc, f"must be a {kind} integer, got {value!r}") from None
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -224,17 +251,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
         name = schedule_raw.get("matrix")
         if not isinstance(name, str):
             raise ScenarioParseError("schedule.matrix", "constant schedule needs a matrix name")
-        if name not in matrices:
-            raise UnknownMatrixError(name, matrices)
         schedule_spec: ConstantSchedule | ExplicitSchedule | RandomSchedule = ConstantSchedule(name)
     elif kind == "explicit":
         _known_keys(schedule_raw, {"kind", "sequence", "extension"}, "schedule")
         seq = schedule_raw.get("sequence")
         if not isinstance(seq, list) or not seq or not all(isinstance(s, str) for s in seq):
             raise ScenarioParseError("schedule.sequence", "must be a non-empty list of matrix names")
-        for s in seq:
-            if s not in matrices:
-                raise UnknownMatrixError(s, matrices)
         extension = schedule_raw.get("extension", "hold_last")
         if extension not in EXTENSIONS:
             raise ScenarioParseError("schedule.extension", f"must be one of {list(EXTENSIONS)}, got {extension!r}")
@@ -244,45 +266,23 @@ def parse_scenario(text: str) -> ScenarioConfig:
         probs = schedule_raw.get("probabilities")
         if not isinstance(probs, dict) or not probs:
             raise ScenarioParseError("schedule.probabilities", "must be a non-empty object of per-matrix weights")
-        for name in probs:
-            if name not in matrices:
-                raise UnknownMatrixError(name, matrices)
-        weights = []
         for name, w in probs.items():
             if not isinstance(w, (int, float)) or isinstance(w, bool) or w < 0 or not math.isfinite(w):
                 raise ScenarioParseError(f"schedule.probabilities.{name}", f"weight must be a nonnegative number, got {w!r}")
-            weights.append(float(w))
-        if abs(sum(weights) - 1.0) > PROBABILITY_SUM_TOL:
-            raise InvalidDistributionError(f"schedule.probabilities sum to {sum(weights)!r}, not 1")
         length = schedule_raw.get("length")
-        if length is not None and (not isinstance(length, int) or isinstance(length, bool) or length < 1):
-            raise ScenarioParseError("schedule.length", f"must be a positive integer, got {length!r}")
-        schedule_spec = RandomSchedule({n: float(w) for n, w in probs.items()}, length)
+        schedule_spec = RandomSchedule(probs, None if length is None else _count(length, "schedule.length", 1))
     else:
         raise ScenarioParseError("schedule.kind", f"must be 'constant', 'explicit' or 'random', got {kind!r}")
 
-    initial_raw = _require(raw, "initial")
-    try:
-        initial = validate_distribution(initial_raw, d)
-    except InvalidDistributionError as exc:
-        raise InvalidDistributionError(f"initial: {exc}") from None
-
+    initial = _require(raw, "initial")
     target_raw = _require(raw, "target_set")
     if not isinstance(target_raw, list) or not all(isinstance(s, str) for s in target_raw):
         raise ScenarioParseError("target_set", "must be a list of stage labels (possibly empty)")
-    for lab in target_raw:
-        if lab not in states.labels:
-            raise UnknownLabelError(lab, states.labels)
-
-    start = raw.get("start", 0)
-    if not isinstance(start, int) or isinstance(start, bool) or start < 0:
-        raise ScenarioParseError("start", f"must be a nonnegative integer, got {start!r}")
+    start = _count(raw.get("start", 0), "start", 0)
     tail_tol = raw.get("tail_tol", DEFAULT_TAIL_TOL)
     if not isinstance(tail_tol, (int, float)) or isinstance(tail_tol, bool) or not 0 < float(tail_tol) < 1:
         raise ScenarioParseError("tail_tol", f"must be a number in (0, 1), got {tail_tol!r}")
-    max_horizon = raw.get("max_horizon", DEFAULT_MAX_HORIZON)
-    if not isinstance(max_horizon, int) or isinstance(max_horizon, bool) or max_horizon < 1:
-        raise ScenarioParseError("max_horizon", f"must be a positive integer, got {max_horizon!r}")
+    max_horizon = _count(raw.get("max_horizon", DEFAULT_MAX_HORIZON), "max_horizon", 1)
 
     return ScenarioConfig(
         states=states,
@@ -291,7 +291,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         initial=initial,
         target_labels=tuple(target_raw),
         start=start,
-        tail_tol=float(tail_tol),
+        tail_tol=tail_tol,
         max_horizon=max_horizon,
     )
 
@@ -317,7 +317,7 @@ def dump_scenario(config: ScenarioConfig) -> str:
             schedule["length"] = spec.length
     doc = {
         "states": list(config.states.labels),
-        "matrices": {name: m.tolist() for name, m in config.matrices.items()},
+        "matrices": {name: np.asarray(m).tolist() for name, m in config.matrices.items()},
         "schedule": schedule,
         "initial": config.initial.tolist(),
         "target_set": list(config.target_labels),
@@ -328,20 +328,23 @@ def dump_scenario(config: ScenarioConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def builtin_fulmar_scenario() -> ScenarioConfig:
+def builtin_fulmar() -> ScenarioConfig:
     """Southern Fulmar under constant favourable conditions.
 
-    One pre-breeder recruited at time 0; target set = breeding stages, so the
-    occupancy total is the lifetime number of breeding attempts.
+    The matrices U_f, U_o and U_u, validated, in that order; one pre-breeder
+    recruited at time 0; target set = breeding stages, so the occupancy
+    total is the lifetime number of breeding attempts.
     """
-    data = builtin_fulmar()
     return ScenarioConfig(
-        states=data.states,
-        matrices=dict(data.matrices),
+        states=StateSpace(FULMAR_STATES),
+        matrices={name: validate_matrix(m) for name, m in FULMAR_MATRICES.items()},
         schedule_spec=ConstantSchedule("U_f"),
-        initial=validate_distribution((1.0, 0.0, 0.0, 0.0)),
+        initial=(1.0, 0.0, 0.0, 0.0),
         target_labels=FULMAR_BREEDING_STATES,
     )
+
+
+builtin_fulmar_scenario = builtin_fulmar
 
 
 def format_number(x) -> str:

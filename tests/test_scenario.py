@@ -17,6 +17,7 @@ from stagedwell.scenario import (
 )
 
 DATA = Path(__file__).parent / "data"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = {
     "states": ["juvenile", "adult"],
@@ -253,6 +254,121 @@ class TestParseScenario:
         signed = sw.parse_scenario(minimal_text(matrices={"M": [[-0.0, 0.0], [0.5, 0.6]]}))
         assert signed != sw.parse_scenario(minimal_text(matrices={"M": [[0.0, 0.0], [0.5, 0.6]]}))
 
+    @pytest.mark.parametrize("text, location, detail", [
+        ("[]", "$", "top level must be a JSON object"),
+        (minimal_text(states="adult"), "states", "must be a list of stage label strings"),
+        (minimal_text(matrices={}), "matrices", "must be a non-empty object of named matrices"),
+        (minimal_text(matrices={"M": [["x", 0.0], [0.5, 0.6]]}), "matrices.M",
+         "not a numeric matrix: could not convert string to float: 'x'"),
+        (minimal_text(schedule={"kind": "constant", "matrix": 3}), "schedule.matrix",
+         "constant schedule needs a matrix name"),
+        (minimal_text(target_set="adult"), "target_set", "must be a list of stage labels (possibly empty)"),
+        (minimal_text(start=-1), "start", "must be a nonnegative integer, got -1"),
+        (minimal_text(tail_tol=1.5), "tail_tol", "must be a number in (0, 1), got 1.5"),
+        (minimal_text(max_horizon=0), "max_horizon", "must be a positive integer, got 0"),
+    ], ids=["top level", "states", "matrices", "matrix entry", "constant name", "target_set", "start",
+            "tail_tol", "max_horizon"])
+    def test_rejection_location_and_detail(self, text, location, detail):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(text)
+        assert (info.value.location, info.value.detail) == (location, detail)
+
+    # a null length means no length
+    @pytest.mark.parametrize("location, kind, value", [
+        (location, kind, value)
+        for location, kind in (("start", "nonnegative"), ("max_horizon", "positive"), ("schedule.length", "positive"))
+        for value in (2.5, True, "3", None, -1) if not (location == "schedule.length" and value is None)])
+    def test_integer_fields_keep_their_messages(self, location, kind, value):
+        if location == "schedule.length":
+            text = minimal_text(schedule={"kind": "random", "probabilities": {"M": 1.0}, "length": value})
+        else:
+            text = minimal_text(**{location: value})
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario(text)
+        assert (info.value.location, info.value.detail) == (location, f"must be a {kind} integer, got {value!r}")
+
+    def test_integral_floats_are_integers(self):
+        # README: integral floats such as 2.0 are accepted for every count,
+        # time and index argument, the scenario's included
+        config = sw.parse_scenario(minimal_text(
+            start=2.0, max_horizon=1e5, schedule={"kind": "random", "probabilities": {"M": 1.0}, "length": 64.0}))
+        fields = (config.start, config.max_horizon, config.schedule_spec.length)
+        assert fields == (2, 100000, 64) and all(type(x) is int for x in fields)
+        dumped = json.loads(sw.dump_scenario(config))
+        assert (dumped["start"], dumped["max_horizon"], dumped["schedule"]["length"]) == (2, 100000, 64)
+        assert sw.parse_scenario(sw.dump_scenario(config)) == config
+
+    def test_weights_off_one_name_the_condition_probabilities(self):
+        with pytest.raises(sw.InvalidDistributionError, match=r"^condition probabilities sum to 0\.9, not 1$"):
+            sw.parse_scenario(minimal_text(schedule={"kind": "random", "probabilities": {"M": 0.9}}))
+
+    @pytest.mark.parametrize("source", ["builtin:fulmar"] + sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_shipped_scenarios_round_trip(self, source):
+        config = sw.builtin_fulmar() if source == "builtin:fulmar" else sw.load_scenario(SCENARIOS / source)
+        assert sw.parse_scenario(sw.dump_scenario(config)) == config
+
+
+def two_condition_config():
+    """A parsed two-stage scenario drawing from two matrices."""
+    return sw.parse_scenario(minimal_text(
+        matrices={"A": [[0.2, 0.0], [0.5, 0.6]], "B": [[0.4, 0.0], [0.3, 0.5]]},
+        schedule={"kind": "random", "probabilities": {"A": 0.5, "B": 0.5}},
+    ))
+
+
+class TestConfigChecksItself:
+    """A ScenarioConfig holds and checks its fields however it is built;
+    dataclasses.replace is how the command line applies its overrides."""
+
+    @pytest.mark.parametrize("change", [
+        dict(initial=[1.0, 0.0]),
+        dict(initial=(1.0, 0.0)),
+        dict(matrices={"A": [[0.2, 0.0], [0.5, 0.6]], "B": [[0.4, 0.0], [0.3, 0.5]]}),
+        dict(schedule_spec=RandomSchedule({"A": np.float32(0.5), "B": np.float32(0.5)})),
+    ], ids=["list initial", "tuple initial", "list matrices", "float32 weights"])
+    def test_equal_to_the_parsed_config(self, change):
+        config = two_condition_config()
+        changed = dataclasses.replace(config, **change)
+        assert changed == config
+        assert changed.random_spec().probabilities.tolist() == [0.5, 0.5]
+
+    def test_float32_tail_tol_is_held_as_its_float(self):
+        config = two_condition_config()
+        changed = dataclasses.replace(config, tail_tol=np.float32(1e-10))
+        assert type(changed.tail_tol) is float and changed.tail_tol == float(np.float32(1e-10))
+        assert changed != dataclasses.replace(config, tail_tol=1e-10)
+
+    @pytest.mark.parametrize("change, error, message", [
+        (dict(target_labels=("zz",)), sw.UnknownLabelError, "unknown state label 'zz'"),
+        (dict(tail_tol=5.0), ValueError, "tail_tol must lie in (0, 1), got 5.0"),
+        (dict(schedule_spec=RandomSchedule({"A": 0.5, "Q": 0.5})), sw.UnknownMatrixError,
+         "unknown matrix name 'Q'"),
+        (dict(schedule_spec=RandomSchedule({"A": 0.5, "B": 0.6})), sw.InvalidDistributionError,
+         "condition probabilities sum to 1.1, not 1"),
+        (dict(initial=[0.9, 0.3]), sw.InvalidDistributionError, "initial: entries sum to 1.2, not 1"),
+    ], ids=["target label", "tail_tol", "probability name", "weights", "initial"])
+    def test_replace_checks_the_fields(self, change, error, message):
+        with pytest.raises(error) as info:
+            dataclasses.replace(two_condition_config(), **change)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("schedule", [ConstantSchedule("Q"), ExplicitSchedule(("A", "Q"))],
+                             ids=["constant", "explicit"])
+    def test_every_schedule_kind_names_known_matrices(self, schedule):
+        with pytest.raises(sw.UnknownMatrixError, match="'Q'"):
+            dataclasses.replace(two_condition_config(), schedule_spec=schedule)
+
+    def test_cached_target_set_and_spec_follow_the_fields(self):
+        config = two_condition_config()
+        assert config.target_set() is config.target_set()
+        assert config.random_spec() is config.random_spec()
+        changed = dataclasses.replace(config, target_labels=("juvenile",),
+                                      schedule_spec=RandomSchedule({"B": 0.25, "A": 0.75}))
+        assert changed.target_set().members == frozenset({0})
+        assert changed.random_spec().labels == ("B", "A")
+        assert [name for name, _ in changed.conditions()] == ["B", "A"]
+        assert not dataclasses.replace(config, schedule_spec=ConstantSchedule("B")).is_random()
+
 
 class TestBuiltinFulmar:
     def test_states_and_keys(self):
@@ -289,6 +405,11 @@ class TestBuiltinFulmar:
     def test_conditions_order(self):
         names = [n for n, _ in sw.builtin_fulmar().conditions()]
         assert names == ["U_f", "U_o", "U_u"]
+
+    def test_one_scenario_under_two_names(self):
+        assert sw.builtin_fulmar() == sw.builtin_fulmar_scenario()
+        assert isinstance(sw.builtin_fulmar(), sw.ScenarioConfig)
+        assert [n for n, _ in sw.builtin_fulmar_scenario().conditions()] == ["U_f", "U_o", "U_u"]
 
 
 class TestFormatNumber:
