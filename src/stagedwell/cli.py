@@ -22,6 +22,7 @@ from .occupancy import occupancy_distribution, occupancy_moments, summary_stats
 from .randomenv import simplex_sweep
 from .scenario import (
     ScenarioConfig,
+    _schedule_json,
     _write_text,
     builtin_fulmar_scenario,
     export_results,
@@ -91,11 +92,12 @@ def _prologue(args):
     """_load_config's scenario, its schedule (a random scenario's is one
     sampled realization, noted on stderr) and truncation keywords."""
     config, truncation = _load_config(args)
-    rng = None
-    if config.is_random():
-        print(f"note: random schedule, analyzing one sampled realization (seed {args.seed})", file=sys.stderr)
-        rng = np.random.default_rng((int(args.seed),))
-    return config, config.build_schedule(rng), truncation
+    rng = np.random.default_rng((int(args.seed),)) if config.is_random() else None
+    schedule = config.build_schedule(rng)
+    if rng is not None:
+        print(f"note: random schedule, analyzing one sampled realization of {schedule.prefix_length} steps "
+              f"(seed {args.seed}); a life that outlives it holds the last drawn condition", file=sys.stderr)
+    return config, schedule, truncation
 
 
 def _fmt_vector(v) -> str:
@@ -106,7 +108,7 @@ def cmd_validate(args) -> int:
     config, _ = _load_config(args)
     lines = [
         f"scenario OK: {config.states.d} stages, {len(config.matrices)} matrices, "
-        f"schedule kind {type(config.schedule_spec).__name__}",
+        f"schedule kind {_schedule_json(config.schedule_spec)['kind']}",
         "states: " + ", ".join(config.states.labels),
     ]
     for name, matrix in config.matrices.items():

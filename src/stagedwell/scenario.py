@@ -15,18 +15,20 @@ target stage set, plus optional truncation controls:
       "max_horizon": 100000
     }
 
-Schedule kinds: "constant" (one matrix forever); "explicit" with a
-"sequence" of matrix names and an "extension" of "hold_last", "cycle" or
-"error"; "random" with a "probabilities" object of per-name draw weights and
-an optional "length". Matrices are column-oriented by default; a file
-holding row-oriented matrices (rows = source stage) can say
-"orientation": "row-stochastic-convention" and is transposed on load.
+Schedule kinds: "constant" (one matrix forever, read as a one-name
+"hold_last" explicit schedule); "explicit" with a "sequence" of matrix names
+and an "extension" of "hold_last", "cycle" or "error"; "random" with a
+"probabilities" object of per-name draw weights and an optional "length".
+Matrices are column-oriented by default; a file holding row-oriented
+matrices (rows = source stage) can say "orientation":
+"row-stochastic-convention" and is transposed on load.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,14 +70,18 @@ _TOP_LEVEL_KEYS = {
 
 
 @dataclass(frozen=True)
-class ConstantSchedule:
-    matrix: str
-
-
-@dataclass(frozen=True)
 class ExplicitSchedule:
+    """Matrix names for the first steps, then the extension; a constant
+    schedule is one name held ("hold_last")."""
+
     sequence: tuple[str, ...]
     extension: str = "hold_last"
+
+    def __post_init__(self):
+        if not self.sequence or not all(isinstance(s, str) for s in self.sequence):
+            raise ScenarioParseError("schedule.sequence", "must be a non-empty list of matrix names")
+        if self.extension not in EXTENSIONS:
+            raise ScenarioParseError("schedule.extension", f"must be one of {list(EXTENSIONS)}, got {self.extension!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,9 @@ class RandomSchedule:
     length: int | None = None
 
     def __post_init__(self):
+        for name, w in self.probabilities.items():
+            if not isinstance(w, numbers.Real) or isinstance(w, bool) or not 0 <= w < math.inf:
+                raise ScenarioParseError(f"schedule.probabilities.{name}", f"weight must be a nonnegative number, got {w!r}")
         object.__setattr__(self, "probabilities", {n: float(w) for n, w in self.probabilities.items()})
         object.__setattr__(self, "length", None if self.length is None else _integer(self.length, "length", 1))
 
@@ -99,7 +108,7 @@ class ScenarioConfig:
 
     states: StateSpace
     matrices: dict[str, np.ndarray]
-    schedule_spec: ConstantSchedule | ExplicitSchedule | RandomSchedule
+    schedule_spec: ExplicitSchedule | RandomSchedule
     initial: np.ndarray
     target_labels: tuple[str, ...]
     start: int = 0
@@ -111,8 +120,7 @@ class ScenarioConfig:
     def __post_init__(self):
         spec = self.schedule_spec
         weights = spec.probabilities if isinstance(spec, RandomSchedule) else None
-        names = (spec.matrix,) if isinstance(spec, ConstantSchedule) else spec.sequence if weights is None \
-            else tuple(weights)
+        names = spec.sequence if weights is None else tuple(weights)
         for name in names:
             if name not in self.matrices:
                 raise UnknownMatrixError(name, self.matrices)
@@ -150,16 +158,15 @@ class ScenarioConfig:
     def build_schedule(self, rng: np.random.Generator | None = None) -> Schedule:
         """Concrete schedule for this scenario.
 
-        A random scenario needs a generator and yields one sampled
-        realization of length `length` (default max_horizon).
+        An explicit schedule holds the matrices its sequence names, in
+        file order. A random scenario needs a generator and yields one
+        sampled realization of length `length` (default max_horizon).
         """
         spec = self.schedule_spec
-        if isinstance(spec, ConstantSchedule):
-            return Schedule.constant(self.matrices[spec.matrix])
         if isinstance(spec, ExplicitSchedule):
-            names = list(self.matrices)
-            seq = [names.index(n) for n in spec.sequence]
-            return Schedule.explicit(tuple(self.matrices.values()), seq, spec.extension)
+            used = [n for n in self.matrices if n in spec.sequence]
+            seq = [used.index(n) for n in spec.sequence]
+            return Schedule.explicit([self.matrices[n] for n in used], seq, spec.extension)
         if rng is None:
             raise ScenarioError("a random scenario needs a random generator to realize a schedule")
         length = spec.length if spec.length is not None else self.max_horizon
@@ -251,24 +258,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
         name = schedule_raw.get("matrix")
         if not isinstance(name, str):
             raise ScenarioParseError("schedule.matrix", "constant schedule needs a matrix name")
-        schedule_spec: ConstantSchedule | ExplicitSchedule | RandomSchedule = ConstantSchedule(name)
+        schedule_spec: ExplicitSchedule | RandomSchedule = ExplicitSchedule((name,))
     elif kind == "explicit":
         _known_keys(schedule_raw, {"kind", "sequence", "extension"}, "schedule")
-        seq = schedule_raw.get("sequence")
-        if not isinstance(seq, list) or not seq or not all(isinstance(s, str) for s in seq):
-            raise ScenarioParseError("schedule.sequence", "must be a non-empty list of matrix names")
-        extension = schedule_raw.get("extension", "hold_last")
-        if extension not in EXTENSIONS:
-            raise ScenarioParseError("schedule.extension", f"must be one of {list(EXTENSIONS)}, got {extension!r}")
-        schedule_spec = ExplicitSchedule(tuple(seq), extension)
+        seq = schedule_raw.get("sequence")  # anything but a list is no sequence
+        schedule_spec = ExplicitSchedule(tuple(seq) if isinstance(seq, list) else (),
+                                         schedule_raw.get("extension", "hold_last"))
     elif kind == "random":
         _known_keys(schedule_raw, {"kind", "probabilities", "length"}, "schedule")
         probs = schedule_raw.get("probabilities")
         if not isinstance(probs, dict) or not probs:
             raise ScenarioParseError("schedule.probabilities", "must be a non-empty object of per-matrix weights")
-        for name, w in probs.items():
-            if not isinstance(w, (int, float)) or isinstance(w, bool) or w < 0 or not math.isfinite(w):
-                raise ScenarioParseError(f"schedule.probabilities.{name}", f"weight must be a nonnegative number, got {w!r}")
         length = schedule_raw.get("length")
         schedule_spec = RandomSchedule(probs, None if length is None else _count(length, "schedule.length", 1))
     else:
@@ -306,19 +306,10 @@ def dump_scenario(config: ScenarioConfig) -> str:
 
     parse_scenario(dump_scenario(c)) == c for every valid config.
     """
-    spec = config.schedule_spec
-    if isinstance(spec, ConstantSchedule):
-        schedule: dict = {"kind": "constant", "matrix": spec.matrix}
-    elif isinstance(spec, ExplicitSchedule):
-        schedule = {"kind": "explicit", "sequence": list(spec.sequence), "extension": spec.extension}
-    else:
-        schedule = {"kind": "random", "probabilities": dict(spec.probabilities)}
-        if spec.length is not None:
-            schedule["length"] = spec.length
     doc = {
         "states": list(config.states.labels),
         "matrices": {name: np.asarray(m).tolist() for name, m in config.matrices.items()},
-        "schedule": schedule,
+        "schedule": _schedule_json(config.schedule_spec),
         "initial": config.initial.tolist(),
         "target_set": list(config.target_labels),
         "start": config.start,
@@ -326,6 +317,17 @@ def dump_scenario(config: ScenarioConfig) -> str:
         "max_horizon": config.max_horizon,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _schedule_json(spec: ExplicitSchedule | RandomSchedule) -> dict:
+    """A schedule as its scenario file writes it, a one-name hold_last
+    sequence as the constant kind."""
+    if isinstance(spec, RandomSchedule):
+        length = {} if spec.length is None else {"length": spec.length}
+        return {"kind": "random", "probabilities": dict(spec.probabilities), **length}
+    if len(spec.sequence) == 1 and spec.extension == "hold_last":
+        return {"kind": "constant", "matrix": spec.sequence[0]}
+    return {"kind": "explicit", "sequence": list(spec.sequence), "extension": spec.extension}
 
 
 def builtin_fulmar() -> ScenarioConfig:
@@ -338,7 +340,7 @@ def builtin_fulmar() -> ScenarioConfig:
     return ScenarioConfig(
         states=StateSpace(FULMAR_STATES),
         matrices={name: validate_matrix(m) for name, m in FULMAR_MATRICES.items()},
-        schedule_spec=ConstantSchedule("U_f"),
+        schedule_spec=ExplicitSchedule(("U_f",)),
         initial=(1.0, 0.0, 0.0, 0.0),
         target_labels=FULMAR_BREEDING_STATES,
     )
@@ -350,17 +352,11 @@ builtin_fulmar_scenario = builtin_fulmar
 def format_number(x) -> str:
     """Numbers for CSV cells: ints plain, floats at 12 significant digits
     with a decimal point (or exponent) always present."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    s = f"{xf:.12g}"
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    s = f"{float(x):.12g}"
+    # "nan", "inf" and "-inf" take no point
+    return s if "." in s or "e" in s or "n" in s else s + ".0"
 
 
 def _json_ready(x):

@@ -93,6 +93,15 @@ class TestValidate:
         assert code == 0
         assert "G: column sums [1.0000000005, 0.5]; absorption [0.0, 0.5]" in out
 
+    @pytest.mark.parametrize("source, kind", [
+        ("builtin:fulmar", "constant"), ("two_state_geometric.json", "constant"),
+        ("fulmar_explicit_sequence.json", "explicit"), ("fulmar_random_environment.json", "random")])
+    def test_names_the_schedule_kind_as_the_file_does(self, capsys, source, kind):
+        path = source if source == "builtin:fulmar" else str(SCENARIOS / source)
+        code, out, _ = run(capsys, ["validate", "--scenario", path])
+        assert code == 0
+        assert out.splitlines()[0].endswith(f"matrices, schedule kind {kind}")
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, ["validate", "--scenario", "/nope/missing.json"])
         assert code == 1
@@ -209,6 +218,16 @@ class TestOccupancy:
         assert code == 0
         assert "one sampled realization" in err
         assert out.startswith("a,probability\n")
+
+    def test_realization_note_gives_its_length(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "fulmar_random_environment.json").read_text())
+        doc["schedule"]["length"] = 10
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["moments", "--scenario", str(path), "--seed", "1"])
+        assert code == 0
+        assert err == ("note: random schedule, analyzing one sampled realization of 10 steps (seed 1); "
+                       "a life that outlives it holds the last drawn condition\n")
 
 
 class TestMoments:

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 import stagedwell as sw
 from stagedwell.scenario import (
-    ConstantSchedule,
     ExplicitSchedule,
     RandomSchedule,
     format_number,
@@ -38,7 +37,7 @@ class TestParseScenario:
     def test_minimal(self):
         config = sw.parse_scenario(minimal_text())
         assert config.states.labels == ("juvenile", "adult")
-        assert config.schedule_spec == ConstantSchedule("M")
+        assert config.schedule_spec == ExplicitSchedule(("M",))
         assert config.target_labels == ("adult",)
         assert config.target_set().members == frozenset({1})
         assert config.start == 0
@@ -204,6 +203,13 @@ class TestParseScenario:
         with pytest.raises(sw.ScenarioError):
             config.build_schedule()
 
+    def test_constant_is_a_one_name_held_explicit_schedule(self):
+        constant = sw.parse_scenario(minimal_text())
+        explicit = sw.parse_scenario(minimal_text(schedule={"kind": "explicit", "sequence": ["M"]}))
+        assert constant == explicit
+        assert sw.dump_scenario(constant) == sw.dump_scenario(explicit)
+        assert json.loads(sw.dump_scenario(explicit))["schedule"] == MINIMAL["schedule"]
+
     def test_unknown_kind(self):
         with pytest.raises(sw.ScenarioParseError):
             sw.parse_scenario(minimal_text(schedule={"kind": "markov"}))
@@ -352,11 +358,23 @@ class TestConfigChecksItself:
             dataclasses.replace(two_condition_config(), **change)
         assert str(info.value).startswith(message)
 
-    @pytest.mark.parametrize("schedule", [ConstantSchedule("Q"), ExplicitSchedule(("A", "Q"))],
+    @pytest.mark.parametrize("schedule", [ExplicitSchedule(("Q",)), ExplicitSchedule(("A", "Q"))],
                              ids=["constant", "explicit"])
     def test_every_schedule_kind_names_known_matrices(self, schedule):
         with pytest.raises(sw.UnknownMatrixError, match="'Q'"):
             dataclasses.replace(two_condition_config(), schedule_spec=schedule)
+
+    @pytest.mark.parametrize("build, location, detail", [
+        (lambda: ExplicitSchedule(("A",), "bogus"), "schedule.extension",
+         "must be one of ['hold_last', 'cycle', 'error'], got 'bogus'"),
+        (lambda: ExplicitSchedule(()), "schedule.sequence", "must be a non-empty list of matrix names"),
+        (lambda: RandomSchedule({"A": -1.0}), "schedule.probabilities.A",
+         "weight must be a nonnegative number, got -1.0"),
+    ], ids=["extension", "empty sequence", "negative weight"])
+    def test_schedule_kinds_check_their_fields_as_parse_does(self, build, location, detail):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            build()
+        assert (info.value.location, info.value.detail) == (location, detail)
 
     def test_cached_target_set_and_spec_follow_the_fields(self):
         config = two_condition_config()
@@ -367,7 +385,7 @@ class TestConfigChecksItself:
         assert changed.target_set().members == frozenset({0})
         assert changed.random_spec().labels == ("B", "A")
         assert [name for name, _ in changed.conditions()] == ["B", "A"]
-        assert not dataclasses.replace(config, schedule_spec=ConstantSchedule("B")).is_random()
+        assert not dataclasses.replace(config, schedule_spec=ExplicitSchedule(("B",))).is_random()
 
 
 class TestBuiltinFulmar:
@@ -398,9 +416,17 @@ class TestBuiltinFulmar:
 
     def test_scenario_wrapper(self):
         config = sw.builtin_fulmar_scenario()
-        assert config.schedule_spec == ConstantSchedule("U_f")
+        assert config.schedule_spec == ExplicitSchedule(("U_f",))
         assert config.target_set().members == frozenset({1, 2})
         assert_allclose(config.initial, [1.0, 0.0, 0.0, 0.0])
+
+    def test_schedule_is_the_constant_one(self):
+        built = sw.builtin_fulmar().build_schedule()
+        reference = sw.Schedule.constant(sw.builtin_fulmar().matrices["U_f"])
+        assert len(built.matrices) == len(reference.matrices) == 1
+        assert np.array_equal(built.matrices[0], reference.matrices[0])
+        assert built.sequence.tolist() == reference.sequence.tolist()
+        assert built.extension == reference.extension
 
     def test_conditions_order(self):
         names = [n for n, _ in sw.builtin_fulmar().conditions()]
@@ -421,13 +447,15 @@ class TestFormatNumber:
     def test_ints_are_plain(self):
         assert format_number(3) == "3"
         assert format_number(np.int64(7)) == "7"
+        assert format_number(True) == "1"
 
     def test_twelve_significant_digits(self):
         assert format_number(1 / 3) == "0.333333333333"
         assert format_number(2.5e-13) == "2.5e-13"
 
     def test_nan(self):
-        assert format_number(float("nan")) == "nan"
+        for x in (float("nan"), -float("nan"), np.float32("nan")):
+            assert format_number(x) == "nan"
 
     def test_infinities(self):
         assert format_number(float("inf")) == "inf"
