@@ -118,7 +118,7 @@ def validate_distribution(raw, d: int | None = None) -> np.ndarray:
     """
     try:
         v = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDistributionError(f"not a numeric vector: {exc}") from None
     if v.ndim != 1:
         raise InvalidDistributionError(f"expected a 1-d vector, got shape {v.shape}")

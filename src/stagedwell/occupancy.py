@@ -318,7 +318,7 @@ def occupancy_distribution(
         nonlocal acc, lo, cut, steps
         steps += 1
         if steps % _TRIM_EVERY == 0:
-            allowance = tail_tol * steps / (2 * max_horizon)
+            allowance = tail_tol * steps / (2 * min(max_horizon, sys.maxsize))
             mass = (state[1:] @ ones).tolist()
             i = j = 0
             while cut + mass[i] <= allowance:

@@ -247,26 +247,18 @@ class SweepPoint:
     labels: tuple[str, str, str] = field(kw_only=True)
 
 
-def simplex_sweep(
-    conditions,
-    grid_step: float,
-    initial,
-    target: TargetSet,
-    n_sequences: int = 2000,
-    seed=0,
-    start: int = 0,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
-    sample_length: int | None = None,
-) -> list[SweepPoint]:
+def simplex_sweep(conditions, grid_step: float, initial, target: TargetSet, *, seed=0,
+                  **options) -> list[SweepPoint]:
     """Two-level statistics over a grid of three-condition mixtures.
 
     `conditions` is a sequence of exactly three (label, matrix) pairs; the
     grid runs over probability triples (i, j, k)/k_steps with grid_step =
     1/k_steps. Point (i, j, l) derives its seed as (*seed, i, j, l), so any
-    sub-grid of a sweep reproduces the full sweep's values. A failing point
-    (for example a non-absorbing corner) is recorded and skipped rather than
-    aborting the sweep.
+    sub-grid of a sweep reproduces the full sweep's values; every other
+    keyword (n_sequences, start, tail_tol, max_horizon, sample_length) goes
+    to two_level_stats unchanged. A failing point (for example a
+    non-absorbing corner) is recorded and skipped rather than aborting the
+    sweep.
     """
     pairs = list(conditions)
     if len(pairs) != 3:
@@ -286,15 +278,7 @@ def simplex_sweep(
             spec = RandomEnvironmentSpec(labels, matrices, weights)
             triple = (weights[0], weights[1], weights[2])
             try:
-                stats = two_level_stats(
-                    spec, initial, target,
-                    n_sequences=n_sequences,
-                    seed=(*base, i, j, l),
-                    start=start,
-                    tail_tol=tail_tol,
-                    max_horizon=max_horizon,
-                    sample_length=sample_length,
-                )
+                stats = two_level_stats(spec, initial, target, seed=(*base, i, j, l), **options)
             except StagedwellError as exc:
                 points.append(SweepPoint(triple, None, error=f"{type(exc).__name__}: {exc}",
                                          labels=labels))

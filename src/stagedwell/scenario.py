@@ -91,7 +91,11 @@ class RandomSchedule:
 
     def __post_init__(self):
         for name, w in self.probabilities.items():
-            if not isinstance(w, numbers.Real) or isinstance(w, bool) or not 0 <= w < math.inf:
+            try:  # a JSON integer beyond float64 overflows here, not in the conversion below
+                ok = isinstance(w, numbers.Real) and not isinstance(w, bool) and 0 <= float(w) < math.inf
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ScenarioParseError(f"schedule.probabilities.{name}", f"weight must be a nonnegative number, got {w!r}")
         object.__setattr__(self, "probabilities", {n: float(w) for n, w in self.probabilities.items()})
         object.__setattr__(self, "length", None if self.length is None else _integer(self.length, "length", 1))
@@ -238,7 +242,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         loc = f"matrices.{name}"
         try:
             arr = np.array(body, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioParseError(loc, f"not a numeric matrix: {exc}") from None
         if arr.shape != (d, d):
             raise ScenarioParseError(loc, f"expected shape ({d}, {d}) to match states, got {arr.shape}")
@@ -280,7 +284,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError("target_set", "must be a list of stage labels (possibly empty)")
     start = _count(raw.get("start", 0), "start", 0)
     tail_tol = raw.get("tail_tol", DEFAULT_TAIL_TOL)
-    if not isinstance(tail_tol, (int, float)) or isinstance(tail_tol, bool) or not 0 < float(tail_tol) < 1:
+    if not isinstance(tail_tol, (int, float)) or isinstance(tail_tol, bool) or not 0 < tail_tol < 1:
         raise ScenarioParseError("tail_tol", f"must be a number in (0, 1), got {tail_tol!r}")
     max_horizon = _count(raw.get("max_horizon", DEFAULT_MAX_HORIZON), "max_horizon", 1)
 

@@ -81,7 +81,7 @@ class TestValidateDistribution:
         with pytest.raises(sw.InvalidDistributionError):
             sw.validate_distribution([1.2, -0.2])
 
-    @pytest.mark.parametrize("raw", [[{}, 1.0], "abc", [[1.0], [0.0, 0.0]]])
+    @pytest.mark.parametrize("raw", [[{}, 1.0], "abc", [[1.0], [0.0, 0.0]], [10**400, 0.0]])
     def test_rejects_non_numeric(self, raw):
         with pytest.raises(sw.InvalidDistributionError, match="not a numeric vector"):
             sw.validate_distribution(raw)

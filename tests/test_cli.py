@@ -507,9 +507,13 @@ def test_json_writes_null_for_undefined_values(capsys, argv, fields):
 FUZZ_BASES = [json.loads(GEOMETRIC), json.loads(RANDOM_ENV)] + [
     json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))
 ]
+# integers beyond float64 are a branch of their own: as two more entries of
+# the list above, they reached a weight, tail_tol, initial or matrix entry in
+# 1 of 13 seeded runs
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-2.0, 2.0)
-    | st.sampled_from([1e308, -1e308, 1e-320, float("nan"), float("inf")]) | st.text(max_size=4),
+    | st.sampled_from([1e308, -1e308, 1e-320, float("nan"), float("inf")])
+    | st.sampled_from([10**400, -10**400]) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -599,6 +600,18 @@ class TestBand:
         assert banded.total() == pytest.approx(1.0, abs=1e-12)
         assert banded.max_support() < atoms.size
         assert np.abs(banded.to_array(atoms.size) - atoms).max() <= banded.tail_mass
+
+    def test_a_max_horizon_beyond_float64_trims_as_the_largest_index(self):
+        # the trim allowance divides by max_horizon, which a JSON or CLI
+        # integer can make too large for a float
+        rng = np.random.default_rng(12)
+        mats = [random_substochastic(rng, 3, low=0.88, high=0.92) for _ in range(3)] + [np.zeros((3, 3))]
+        sched = sw.Schedule.explicit(mats, np.append(rng.integers(0, 3, size=150), 3))
+        v, target = random_distribution(rng, 3), sw.TargetSet(3, frozenset({0, 2}))
+        huge = sw.occupancy_distribution(sched, v, target, max_horizon=10**400)
+        assert huge.total() == pytest.approx(1.0, abs=1e-12)
+        largest = sw.occupancy_distribution(sched, v, target, max_horizon=sys.maxsize)
+        assert (huge.probs, huge.tail_mass) == (largest.probs, largest.tail_mass)
 
     @pytest.mark.parametrize("extension, prefix", [("error", 200), ("hold_last", 60)])
     def test_a_coarse_tolerance_cuts_much_and_keeps_the_contract(self, extension, prefix):

@@ -338,6 +338,30 @@ class TestSimplexSweep:
             sw.simplex_sweep(self._conditions(rng), 0.3,
                              [1.0, 0.0], sw.TargetSet.none(2))
 
+    def test_other_options_reach_every_point_unchanged(self):
+        rng = np.random.default_rng(35)
+        conditions = self._conditions(rng, d=3)
+        labels, matrices = zip(*conditions)
+        v, target = random_distribution(rng, 3), sw.TargetSet(3, frozenset({0, 2}))
+        options = dict(n_sequences=3, start=2, tail_tol=1e-9, max_horizon=400, sample_length=60)
+        points = sw.simplex_sweep(conditions, 0.5, v, target, seed=7, **options)
+        assert len(points) == 6
+        for pt in points:
+            i, j, l = (round(2 * p) for p in pt.probabilities)
+            spec = sw.RandomEnvironmentSpec(labels, matrices, np.array(pt.probabilities))
+            assert pt.stats == sw.two_level_stats(spec, v, target, seed=(7, i, j, l), **options)
+        # start and tail_tol each change a point, so the equality shows they reach it
+        for default in (dict(start=0), dict(tail_tol=sw.DEFAULT_TAIL_TOL)):
+            assert points != sw.simplex_sweep(conditions, 0.5, v, target, seed=7, **{**options, **default})
+
+    def test_seed_is_keyword_only_and_unknown_options_raise(self):
+        rng = np.random.default_rng(2)
+        args = (self._conditions(rng), 0.5, [1.0, 0.0], sw.TargetSet.none(2))
+        with pytest.raises(TypeError):
+            sw.simplex_sweep(*args, 3)
+        with pytest.raises(TypeError, match="n_sequence"):
+            sw.simplex_sweep(*args, n_sequence=3)
+
     def test_failing_point_is_recorded_not_fatal(self):
         rng = np.random.default_rng(33)
         conditions = [

@@ -168,7 +168,8 @@ class TestParseScenario:
             sw.parse_scenario(minimal_text(schedule={"kind": "random", "probabilities": {"M": 0.5, "Q": 0.5}}))
         assert info.value.name == "Q"
 
-    @pytest.mark.parametrize("weight", [True, "1", -1], ids=["true", "string", "negative"])
+    @pytest.mark.parametrize("weight", [True, "1", -1, 10**400, -10**400],
+                             ids=["true", "string", "negative", "beyond float64", "below -float64"])
     def test_random_weight_must_be_a_nonnegative_number(self, weight):
         with pytest.raises(sw.ScenarioParseError) as info:
             sw.parse_scenario(minimal_text(schedule={"kind": "random", "probabilities": {"M": weight}}))
@@ -272,8 +273,11 @@ class TestParseScenario:
         (minimal_text(start=-1), "start", "must be a nonnegative integer, got -1"),
         (minimal_text(tail_tol=1.5), "tail_tol", "must be a number in (0, 1), got 1.5"),
         (minimal_text(max_horizon=0), "max_horizon", "must be a positive integer, got 0"),
+        (minimal_text(tail_tol=10**400), "tail_tol", f"must be a number in (0, 1), got {10**400}"),
+        (minimal_text(matrices={"M": [[10**400, 0.0], [0.5, 0.6]]}), "matrices.M",
+         "not a numeric matrix: int too large to convert to float"),
     ], ids=["top level", "states", "matrices", "matrix entry", "constant name", "target_set", "start",
-            "tail_tol", "max_horizon"])
+            "tail_tol", "max_horizon", "tail_tol beyond float64", "matrix entry beyond float64"])
     def test_rejection_location_and_detail(self, text, location, detail):
         with pytest.raises(sw.ScenarioParseError) as info:
             sw.parse_scenario(text)
