@@ -184,7 +184,8 @@ class Schedule:
     - "cycle": repeat the whole prefix periodically,
     - "error": raise ScheduleExhaustedError.
 
-    Matrices are validated and absorption vectors precomputed on
+    Matrices are validated, and their absorption vectors and transposes
+    (contiguous, for the engines' row-vector products) precomputed, on
     construction; instances are immutable.
     """
 
@@ -192,6 +193,7 @@ class Schedule:
     sequence: np.ndarray
     extension: str = "hold_last"
     _absorptions: tuple = field(init=False, repr=False)
+    _transposes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = tuple(validate_matrix(m) for m in self.matrices)
@@ -214,6 +216,7 @@ class Schedule:
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "sequence", seq)
         object.__setattr__(self, "_absorptions", tuple(absorption_vector(m) for m in mats))
+        object.__setattr__(self, "_transposes", tuple(m.T.copy() for m in mats))
 
     @classmethod
     def constant(cls, matrix) -> "Schedule":
@@ -269,12 +272,13 @@ class Schedule:
         raise ScheduleExhaustedError(max(start, length), length)
 
     def _permuted(self, order) -> "Schedule":
-        """This schedule over its stages taken in `order`. The entries and
-        absorption vectors are moved, not recomputed, so the permuted chain
-        is the same chain and is not validated again."""
-        moved = copy.copy(self)
-        moved.__dict__.update(matrices=tuple(m[np.ix_(order, order)] for m in self.matrices),
-                              _absorptions=tuple(b[order] for b in self._absorptions))
+        """This schedule over its stages taken in `order`. The entries,
+        absorption vectors and transposes are moved, not recomputed, so the
+        permuted chain is the same chain and is not validated again."""
+        moved, at = copy.copy(self), np.ix_(order, order)
+        moved.__dict__.update(matrices=tuple(m[at] for m in self.matrices),
+                              _absorptions=tuple(b[order] for b in self._absorptions),
+                              _transposes=tuple(m[at] for m in self._transposes))
         return moved
 
     def matrix_at(self, n: int) -> np.ndarray:
@@ -630,7 +634,7 @@ def lifetime_distribution(
     (see _kept_states), to the same horizon and with the same errors.
     """
     w = validate_distribution(initial, schedule.d)
-    states = _kept_states(schedule, w, start, lambda w, k: w @ schedule.matrices[k].T, 0, tail_tol, max_horizon)
+    states = _kept_states(schedule, w, start, lambda w, k: w @ schedule._transposes[k], 0, tail_tol, max_horizon)
     losses = np.array(schedule._absorptions)[list(itertools.islice(schedule.indices(start), len(states) - 1))]
     deaths = np.einsum("ij,ij->i", states[:-1], losses)
     probs = {n: died for n, died in enumerate(deaths.tolist(), start=1) if died != 0.0}

@@ -218,7 +218,7 @@ def evolve_joint(
     instead.
     """
     schedule, rows, order, lift = _target_first(schedule, initial, target)
-    _recurrence(schedule, rows[0], start, tail_tol, max_horizon, lambda x, k: x @ schedule.matrices[k].T,
+    _recurrence(schedule, rows[0], start, tail_tol, max_horizon, lambda x, k: x @ schedule._transposes[k],
                 closes=True)
     back = np.argsort(order)
     tables = []
@@ -228,7 +228,7 @@ def evolve_joint(
         tables[-1].flags.writeable = False
 
     final, _ = _recurrence(schedule, rows, start, tail_tol, max_horizon,
-                           lambda rows, k: lift(rows) @ schedule.matrices[k].T, keep)
+                           lambda rows, k: lift(rows) @ schedule._transposes[k], keep)
     keep(final)
     return JointOccupancyTable(start=int(start), values=tuple(tables))
 
@@ -334,7 +334,7 @@ def occupancy_distribution(
         if acc.size < top:
             acc = np.concatenate([acc, np.zeros(acc.size)])
         acc[lo:top] += lifted[1:] @ schedule._absorptions[k]
-        return lifted @ schedule.matrices[k].T
+        return lifted @ schedule._transposes[k]
 
     period = schedule.prefix_length if schedule.extension == "cycle" else 1
     state, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance,
@@ -364,9 +364,11 @@ def _binomial_shift(order: int) -> np.ndarray:
 
 
 def _moment_start(chain, initial, target: TargetSet, order: int, steps):
-    """The moment stack M of p(0, start), rows 1..order zero, and its step
-    advance(M, k) = (M + (L @ M) * r) @ steps[k], of a moment stack or of a
-    batch of them, k then an index array with one entry per stack.
+    """The moment stack M of p(0, start), rows 1..order zero, the step
+    operands W and the step advance(M, k) = (M + (L @ M) * r) @ steps[k],
+    of a moment stack or of a batch of them, k then an index array with one
+    entry per stack. advance(M, j, gathered) takes the operand gathered[j]
+    instead of W[k], for operands gathered from W ahead of the steps.
 
     steps[k] is U_k' for each chain matrix U_k, or its _absorbing_step; M
     then has one more column, the moments of the mass absorbed so far,
@@ -392,11 +394,11 @@ def _moment_start(chain, initial, target: TargetSet, order: int, steps):
     J[:, 1::2] = _binomial_shift(order)
     rows = (2 * order + 2, width)
 
-    def advance(M, k):
+    def advance(M, k, W=W):
         P = M @ W[k]
         return J @ P.reshape(P.shape[:-2] + rows)
 
-    return M, advance
+    return M, W, advance
 
 
 def _absorbing_step(U, b) -> np.ndarray:
@@ -501,7 +503,7 @@ def moment_tables(
     """
     order = _integer(order, "order", 0)
     with _overflow_named(order):
-        M, advance = _moment_start(schedule, initial, target, order, [U.T for U in schedule.matrices])
+        M, _, advance = _moment_start(schedule, initial, target, order, schedule._transposes)
         values = _kept_states(schedule, M, start, advance, order, tail_tol, max_horizon)
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
@@ -530,7 +532,7 @@ def occupancy_moments(
     d = schedule.d
     steps = [_absorbing_step(U, b) for U, b in zip(schedule.matrices, schedule._absorptions)]
     with _overflow_named(order):
-        M, advance = _moment_start(schedule, initial, target, order, steps)
+        M, _, advance = _moment_start(schedule, initial, target, order, steps)
         M, tail = _recurrence(schedule, M, start, tail_tol, max_horizon, advance, order=order, closes=True)
         acc = M[:, d]
         if tail:

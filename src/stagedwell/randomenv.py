@@ -21,6 +21,9 @@ sequence's moments are bit for bit those of occupancy_moments on its steps.
 The stopping masses are read only at the steps where some sequence's rule
 can hold, as in chain._recurrence. Each sequence draws its condition indices
 lazily, in chunks, only as far as its own truncation rule follows it. The
+steps between two reads are taken from their operands, the bordered steps
+of each live sequence's drawn conditions, gathered with one fancy index per
+window of at most _GATHER_BYTES, so a step is the two products alone. The
 seeding contract: sequence i is the one sample_schedule draws from
 np.random.default_rng((*seed, i)), since chunked draws from a generator give
 the indices of one bulk draw, and a draw of n indices is
@@ -59,6 +62,16 @@ PROBABILITY_SUM_TOL = 1e-12
 # draw doubles its drawn prefix, so a sequence draws at most about twice as
 # many indices as the steps it is followed for.
 FIRST_DRAW = 256
+
+# two_level_stats gathers the step operands of an unread stretch in windows
+# of at most this many bytes, or of one step where a step's are more.
+# In-process with BLAS on one thread (2-core x86_64), fulmar conditions at
+# (0.25, 0.5, 0.25), budgets of 16 KiB, 64 KiB, 256 KiB and 1 MiB took
+# 0.86, 0.80, 0.88 and 0.80 of the time of gathering each step's operands
+# at that step for 12 sequences (4.8 kB of operands a step), 1.00, 0.92,
+# 0.94 and 1.10 for 50, 0.99, 1.01, 0.97 and 1.08 for 200, and 0.98-1.00
+# for 2000, where each budget makes one-step windows.
+_GATHER_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +180,16 @@ def two_level_stats(
     on its steps listed with extension "error" (on the sampled schedule
     itself that engine would close the held tail exactly instead).
     NonAbsorbingError names the lowest sequence still alive after
-    max_horizon steps. between_variance is the plug-in (divide by n)
-    variance of the means about their mean, so equal means give only the
-    square of their mean's rounding, not the cancellation noise of
-    mean(m^2) - mean^2, and total_variance is computed as
-    mean_within_variance + between_variance.
+    max_horizon steps. After each read of the stopping masses, the steps
+    the rule cannot hold at are drawn for at once and taken from their
+    operands gathered in windows of at most _GATHER_BYTES (one step where a
+    step's operands are more); the steps past the drawn length reuse the
+    last drawn step's. The products, their order and the draws are those of
+    gathering each step's operands at that step. between_variance is the
+    plug-in (divide by n) variance of the means about their mean, so equal
+    means give only the square of their mean's rounding, not the
+    cancellation noise of mean(m^2) - mean^2, and total_variance is
+    computed as mean_within_variance + between_variance.
     """
     n_sequences = _integer(n_sequences, "n_sequences", 2, "need at least 2 sequences, got {}")
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
@@ -180,41 +198,49 @@ def two_level_stats(
     start = _integer(start, "start", 0)
     d, absorptions = spec.d, [absorption_vector(U) for U in spec.matrices]
     steps = np.stack([_absorbing_step(U, a) for U, a in zip(spec.matrices, absorptions)])
-    M, advance = _moment_start(spec, initial, target, 2, steps)
+    M, W, advance = _moment_start(spec, initial, target, 2, steps)
     base = _seed_entropy(seed)
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
     cdf, rate = _cdf(spec), _decay_rate(absorptions)
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
     M = np.repeat(M[np.newaxis], n_sequences, axis=0)
-    drawn = np.empty((n_sequences, 0), dtype=np.intp)
+    drawn = np.empty((0, n_sequences), dtype=np.intp)
     # row s of M is the moment stack of sequence live[s], its last column the
-    # absorbed moments; a sequence leaves once the first d entries of its row
-    # 0 meet its own stopping rule, and after a read the steps _unchecked
-    # finds for the least live mass, at the worst condition's rate, go unread
-    held = t = check = 0
+    # absorbed moments, and column s of drawn its condition indices; a
+    # sequence leaves once the first d entries of its row 0 meet its own
+    # stopping rule, and after a read at t the steps up to `end` that
+    # _unchecked finds for the least live mass, at the worst condition's
+    # rate, are taken unread, step n with row min(start + n, length - 1) of
+    # drawn: rows first to last, then `last` again past the drawn length
+    held = t = 0
     while True:
-        if t == check:
-            mass = M[:, 0, :d].sum(axis=1)
-            weight = float(t + 1) ** 2
-            if mass.min() * weight < tail_tol:
-                going = mass * weight >= tail_tol
-                moments[live[~going]] = M[~going, :, d]
-                live, M, drawn, mass = live[going], M[going], drawn[going], mass[going]
-                if live.size == 0:
-                    break
-            if t >= max_horizon:
-                raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
-            check = min(t + 1 + _unchecked(float(mass.min()), t, 2, tail_tol, rate), max_horizon)
-        if start + t == max(length, start):
+        mass = M[:, 0, :d].sum(axis=1)
+        weight = float(t + 1) ** 2
+        if mass.min() * weight < tail_tol:
+            going = mass * weight >= tail_tol
+            moments[live[~going]] = M[~going, :, d]
+            live, M, drawn, mass = live[going], M[going], drawn[:, going], mass[going]
+            if live.size == 0:
+                break
+        if t >= max_horizon:
+            raise NonAbsorbingError(mass[0], max_horizon, context=f"sequence {live[0]}")
+        end = min(t + 1 + _unchecked(float(mass.min()), t, 2, tail_tol, rate), max_horizon)
+        if t <= max(length, start) - start < end:
             held = live.size
-        n = min(start + t, length - 1)
-        if n >= drawn.shape[1]:
-            size = min(max(2 * drawn.shape[1], FIRST_DRAW, n + 1), length) - drawn.shape[1]
+        first, last = (min(start + n, length - 1) for n in (t, end - 1))
+        while last >= len(drawn):
+            size = min(max(2 * len(drawn), FIRST_DRAW, first + 1), length) - len(drawn)
             chunk = np.searchsorted(cdf, [rngs[i].random(size) for i in live], side="right")
-            drawn = np.concatenate([drawn, chunk], axis=1)
-        M = advance(M, drawn[:, n])
-        t += 1
+            drawn = np.concatenate([drawn, chunk.T])
+        window = max(_GATHER_BYTES // (live.size * W[0].nbytes), 1)
+        for lo in range(first, last + 1, window):
+            gathered = W[drawn[lo : min(lo + window, last + 1)]]
+            for j in range(len(gathered)):
+                M = advance(M, j, gathered)
+        for _ in range(end - t - 1 - last + first):
+            M = advance(M, -1, gathered)
+        t = end
     means, second = moments[:, 1], moments[:, 2]
     variances = np.maximum(second - means * means, 0.0)
     mean_of_means = float(means.mean())

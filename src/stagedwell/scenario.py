@@ -164,7 +164,12 @@ class ScenarioConfig:
 
         An explicit schedule holds the matrices its sequence names, in
         file order. A random scenario needs a generator and yields one
-        sampled realization of length `length` (default max_horizon).
+        sampled realization of length `length` (default max_horizon), cut
+        at start + max_horizon + 1 steps. The engines and the simulator,
+        run with this config's start and max_horizon, raise before the
+        hold from step start + max_horizon, so they stop, close and raise
+        as on the full length. A caller who analyzes the realization with
+        a larger max_horizon must `dataclasses.replace` the config first.
         """
         spec = self.schedule_spec
         if isinstance(spec, ExplicitSchedule):
@@ -174,7 +179,7 @@ class ScenarioConfig:
         if rng is None:
             raise ScenarioError("a random scenario needs a random generator to realize a schedule")
         length = spec.length if spec.length is not None else self.max_horizon
-        return sample_schedule(self._spec, length, rng)
+        return sample_schedule(self._spec, min(length, self.start + self.max_horizon + 1), rng)
 
     def conditions(self) -> list[tuple[str, np.ndarray]]:
         """(name, matrix) pairs: a random schedule's conditions in the order

@@ -13,6 +13,7 @@ import stagedwell as sw
 from stagedwell.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).parent / "data"
 
 GEOMETRIC = json.dumps({
     "states": ["out", "in"],
@@ -228,6 +229,25 @@ class TestOccupancy:
         assert code == 0
         assert err == ("note: random schedule, analyzing one sampled realization of 10 steps (seed 1); "
                        "a life that outlives it holds the last drawn condition\n")
+
+    @pytest.mark.parametrize("argv", [["lifetime"], ["occupancy", "--format", "json"],
+                                      ["moments", "--order", "3"], ["simulate", "--samples", "100"]],
+                             ids=["lifetime", "occupancy", "moments", "simulate"])
+    def test_a_length_past_what_any_step_reads_is_realized_only_that_far(self, capsys, tmp_path, argv):
+        # a realization is cut at start + max_horizon + 1 = 100001 steps, so
+        # a length beyond float64, or one whose draws would not fit in
+        # memory, gives the output of that length, the note included
+        doc = json.loads((SCENARIOS / "fulmar_random_environment.json").read_text())
+        outcomes = []
+        for length in (10**400, 10**12, 100_001):
+            doc["schedule"]["length"] = length
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps(doc))
+            outcomes.append(run(capsys, argv + ["--scenario", str(path), "--seed", "2"]))
+        code, _, err = outcomes[-1]
+        assert code == 0
+        assert "one sampled realization of 100001 steps" in err
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestMoments:
@@ -475,6 +495,14 @@ class TestEnvSweep:
         expected = io.StringIO()
         sw.export_results(points, "csv", expected)
         assert out == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shipped_sweep_is_pinned(self, capsys, fmt):
+        # the sampler's seeding contract and its results, bit for bit
+        code, out, err = run(capsys, ["env-sweep", "--scenario", str(SCENARIOS / "fulmar_random_environment.json"),
+                                      "--grid-step", "0.5", "--samples", "20", "--seed", "1", "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"env_sweep.{fmt}").read_text()
 
     def test_needs_three_matrices(self, capsys, geometric_path):
         code, _, err = run(capsys, ["env-sweep", "--scenario", geometric_path,

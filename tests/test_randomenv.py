@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ class TestSampleSchedule:
         assert np.array_equal(sched.sequence, np.random.default_rng(seed).choice(k, n, p=spec.probabilities))
 
 
+def per_sequence_reference(spec, v, target, n_sequences, seed, start, length, steps=2000):
+    """Each sequence's first two occupancy moments (rows 0 and 1) and the
+    step its stopping rule first holds at, by the seeding contract: sequence
+    i is sample_schedule(spec, length, default_rng((*seed, i))), listed for
+    `steps` steps with extension "error", its moments those of
+    occupancy_moments and its stopping step the horizon of moment_tables."""
+    moments, stops = np.empty((2, n_sequences)), np.empty(n_sequences, dtype=int)
+    for i in range(n_sequences):
+        sched = sw.sample_schedule(spec, length, np.random.default_rng((*seed, i)))
+        listed = sw.Schedule(sched.matrices, sched.sequence[np.minimum(np.arange(steps), length - 1)], "error")
+        moments[:, i] = sw.occupancy_moments(listed, v, target, start=start, order=2)
+        stops[i] = sw.moment_tables(listed, v, target, start=start, order=2).horizon
+    return moments, stops
+
+
 class TestTwoLevelStats:
     def test_decomposition_identity(self):
         rng = np.random.default_rng(12)
@@ -186,14 +202,8 @@ class TestTwoLevelStats:
         entropy = (seed, 5)
         stats = sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=entropy,
                                    start=start, sample_length=length)
-        means = np.empty(n_sequences)
-        variances = np.empty(n_sequences)
-        for i in range(n_sequences):
-            sched = sw.sample_schedule(spec, length, np.random.default_rng((*entropy, i)))
-            listed = sw.Schedule(sched.matrices, [sched.index_at(n) for n in range(2000)], "error")
-            m1, m2 = sw.occupancy_moments(listed, v, target, start=start, order=2)
-            means[i] = m1
-            variances[i] = max(m2 - m1 * m1, 0.0)
+        (means, second), _ = per_sequence_reference(spec, v, target, n_sequences, entropy, start, length)
+        variances = np.maximum(second - means * means, 0.0)
         mean = means.mean()
         expected = {
             "mean_of_means": mean,
@@ -218,12 +228,8 @@ class TestTwoLevelStats:
         target = sw.TargetSet(d, frozenset({1, 4, 6}))
         stats = sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=seed,
                                    start=start, sample_length=length)
-        means, variances = np.empty(n_sequences), np.empty(n_sequences)
-        for i in range(n_sequences):
-            sched = sw.sample_schedule(spec, length, np.random.default_rng((seed, i)))
-            listed = sw.Schedule(sched.matrices, [sched.index_at(n) for n in range(2000)], "error")
-            m1, m2 = sw.occupancy_moments(listed, v, target, start=start, order=2)
-            means[i], variances[i] = m1, max(m2 - m1 * m1, 0.0)
+        (means, second), _ = per_sequence_reference(spec, v, target, n_sequences, (seed,), start, length)
+        variances = np.maximum(second - means * means, 0.0)
         mean = means.mean()
         # each sequence's moments are occupancy_moments' bit for bit, so the
         # mean of means sums the same floats in the same order
@@ -292,6 +298,11 @@ class TestTwoLevelStats:
         assert late.held_last == 20
         full = sw.two_level_stats(spec, [1.0, 0.0], target, n_sequences=20, seed=4)
         assert full.held_last == 0
+        # every life ends at step 1, the one drawn step, so the loop ends at
+        # the read that would have found the holders
+        kill = sw.RandomEnvironmentSpec(("kill",), (np.zeros((2, 2)),), np.array([1.0]))
+        ended = sw.two_level_stats(kill, [1.0, 0.0], target, n_sequences=3, sample_length=1)
+        assert (ended.mean_of_means, ended.held_last) == (1.0, 0)
 
     def test_non_absorbing_sequence_reports_index(self):
         spec = sw.RandomEnvironmentSpec(("id",), (np.eye(2),), np.array([1.0]))
@@ -299,6 +310,83 @@ class TestTwoLevelStats:
             sw.two_level_stats(spec, [1.0, 0.0], sw.TargetSet.none(2),
                                n_sequences=3, seed=0, max_horizon=40)
         assert "sequence 0" in str(info.value)
+
+
+def stretches(run):
+    """run()'s result and the sampler's unread stretches [t, end), as
+    _unchecked sets them."""
+    with mock.patch.object(sw.randomenv, "_unchecked", side_effect=sw.chain._unchecked) as unchecked:
+        result = run()
+    return result, [(c.args[1], c.args[1] + 1 + sw.chain._unchecked(*c.args)) for c in unchecked.call_args_list]
+
+
+class TestGatheredWindows:
+    """The sampler steps each unread stretch from operands gathered in
+    windows of at most _GATHER_BYTES; each sequence's moments stay those of
+    occupancy_moments on its own steps, bit for bit."""
+
+    @staticmethod
+    def spec(rng, d, sums):
+        mats = tuple(random_substochastic(rng, d, *bounds) for bounds in sums)
+        return sw.RandomEnvironmentSpec(tuple(f"c{i}" for i in range(len(mats))), mats,
+                                        rng.dirichlet(np.ones(len(mats))))
+
+    def test_a_large_batch_steps_one_operand_at_a_time(self):
+        d, n_sequences, seed = 7, 100, (4, 1)
+        rng = np.random.default_rng(21)
+        spec = self.spec(rng, d, [(0.2, 0.9)] * 3)
+        v, target = random_distribution(rng, d), random_target(rng, d)
+        # a step's operands, one bordered (d + 1) x 2(d + 1) matrix a sequence, pass the budget
+        assert n_sequences * (d + 1) * 2 * (d + 1) * 8 > sw.randomenv._GATHER_BYTES
+        stats = sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=seed, sample_length=50)
+        moments, stops = per_sequence_reference(spec, v, target, n_sequences, seed, 0, 50)
+        assert stats.mean_of_means == moments[0].mean()
+        assert stats.held_last == (stops > 50).sum()
+
+    def test_a_window_across_the_drawn_length_counts_the_held_sequences(self):
+        d, n_sequences, seed, start, length = 4, 12, (8,), 2, 128
+        rng = np.random.default_rng(54)
+        spec = self.spec(rng, d, [(0.5, 0.7), (0.9, 0.99)])
+        v, target = random_distribution(rng, d), random_target(rng, d)
+        stats, spans = stretches(lambda: sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=seed,
+                                                            start=start, sample_length=length))
+        # step t = length - 1 - start reads the last drawn condition, and the
+        # steps after it hold it, inside one stretch, one window at this batch size
+        boundary = length - 1 - start
+        assert any(t < boundary < end - 1 for t, end in spans)
+        moments, stops = per_sequence_reference(spec, v, target, n_sequences, seed, start, length)
+        assert stats.mean_of_means == moments[0].mean()
+        held = int((stops > length - start).sum())
+        assert 0 < stats.held_last == held < n_sequences
+
+    def test_a_length_past_max_horizon_raises_with_the_mass_of_the_drawn_steps(self):
+        # sequence 0 draws different conditions at its indices 9 and 10, so
+        # the error's mass shows that the last step, t = 8, reads index 10
+        d, n_sequences, seed, start, max_horizon = 3, 5, (11,), 2, 9
+        rng = np.random.default_rng(26)
+        spec = self.spec(rng, d, [(0.3, 0.5), (0.9, 0.99)])
+        v, target = random_distribution(rng, d), random_target(rng, d)
+        with pytest.raises(sw.NonAbsorbingError) as info:
+            sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=seed, start=start,
+                               max_horizon=max_horizon, sample_length=1000)
+        sched = sw.sample_schedule(spec, 1000, np.random.default_rng((*seed, 0)))
+        assert sched.sequence[9] != sched.sequence[10]
+        with pytest.raises(sw.NonAbsorbingError) as reference:
+            sw.occupancy_moments(sw.Schedule(sched.matrices, sched.sequence, "error"), v, target, start=start,
+                                 max_horizon=max_horizon)
+        assert info.value.context == "sequence 0"
+        assert info.value.surviving_mass == reference.value.surviving_mass
+
+    def test_a_stretch_past_the_first_draw_draws_again_before_it_steps(self):
+        d, n_sequences, seed = 2, 4, (9, 9)
+        rng = np.random.default_rng(23)
+        spec = self.spec(rng, d, [(0.95, 0.97)] * 2)
+        v, target = random_distribution(rng, d), random_target(rng, d)
+        stats, spans = stretches(lambda: sw.two_level_stats(spec, v, target, n_sequences=n_sequences, seed=seed))
+        assert spans[0][1] - spans[0][0] > 2 * sw.randomenv.FIRST_DRAW   # a third chunk too
+        moments, _ = per_sequence_reference(spec, v, target, n_sequences, seed, 0, sw.DEFAULT_MAX_HORIZON,
+                                            steps=4000)
+        assert stats.mean_of_means == moments[0].mean()
 
 
 class TestSimplexSweep:

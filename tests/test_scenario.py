@@ -392,6 +392,44 @@ class TestConfigChecksItself:
         assert not dataclasses.replace(config, schedule_spec=ExplicitSchedule(("B",))).is_random()
 
 
+def _outcome(run):
+    """A call's result as comparable values, or its error's type and message."""
+    try:
+        result = run()
+    except sw.StagedwellError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, (sw.JointOccupancyTable, sw.MomentTable)):
+        return [np.asarray(x).tobytes() for x in result.values]
+    return result
+
+
+class TestRandomRealization:
+    """A random scenario's realization is cut at start + max_horizon + 1
+    steps. Run with the config's start and max_horizon, every engine and the
+    simulator give on it what they give on the full length."""
+
+    @pytest.mark.parametrize("start, max_horizon", [(0, sw.DEFAULT_MAX_HORIZON), (3, 50), (0, 300), (4, 450),
+                                                    (0, 600)])
+    def test_engines_stop_close_and_raise_as_on_the_full_length(self, start, max_horizon):
+        shipped = sw.load_scenario(SCENARIOS / "fulmar_random_environment.json")
+        config = dataclasses.replace(shipped, start=start, max_horizon=max_horizon)
+        cut = config.build_schedule(np.random.default_rng(1))
+        full = sw.sample_schedule(config.random_spec(), shipped.schedule_spec.length, np.random.default_rng(1))
+        assert cut.prefix_length == min(5000, start + max_horizon + 1)
+        v, target, kw = config.initial, config.target_set(), dict(start=start, max_horizon=max_horizon)
+        runs = [
+            lambda s: sw.lifetime_distribution(s, v, **kw),
+            lambda s: sw.occupancy_distribution(s, v, target, **kw),
+            lambda s: sw.evolve_joint(s, v, target, **kw),
+            lambda s: sw.moment_tables(s, v, target, order=2, **kw),
+            lambda s: sw.occupancy_moments(s, v, target, order=4, **kw),
+            lambda s: sw.empirical_distribution(s, v, target, n_samples=50, seed=1, start=start,
+                                                step_cap=max_horizon),
+        ]
+        for engine in runs:
+            assert _outcome(lambda: engine(cut)) == _outcome(lambda: engine(full))
+
+
 class TestBuiltinFulmar:
     def test_states_and_keys(self):
         data = sw.builtin_fulmar()
