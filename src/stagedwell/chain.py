@@ -428,10 +428,12 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
     mass times (t+1)**order is below tail_tol (order 0 for the
     distributions; see moment_tables for why moments weight the mass), and
     raises NonAbsorbingError if that has not happened within max_horizon
-    steps; tail is then None. At the first step t0 of the schedule's
-    homogeneous tail (t0, period, closable) (see _homogeneous_tail), the
-    loop raises as _check_absorbs does, so a chain with a stage that never
-    dies raises there rather than max_horizon steps on. It returns that
+    steps; tail is then None. A hold-last schedule turns homogeneous at
+    step t0 = max(prefix_length - 1 - start, 0), a cycle at t0 =
+    prefix_length; an "error" schedule never does. If the loop reaches t0,
+    _closing_tail reads the tail there and raises if the rule can hold at
+    no step up to max_horizon, so a chain with a stage that never dies
+    raises at t0 rather than max_horizon steps on. The loop returns that
     tail for the engine to close if the engine `closes` and the tail is
     closable, and otherwise steps on.
 
@@ -443,16 +445,16 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
     """
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     start = _integer(start, "start")
-    tail = _homogeneous_tail(schedule, start)
-    indices, d = schedule.indices(start), schedule.d
-    stop = min(tail[0], max_horizon) if tail else max_horizon
+    length, indices, d = schedule.prefix_length, schedule.indices(start), schedule.d
+    t0 = {"hold_last": max(length - 1 - start, 0), "cycle": length}.get(schedule.extension, max_horizon)
+    stop = min(t0, max_horizon)
     rate = _decay_rate(schedule._absorptions)
     t = 0
     while not _negligible(surviving := float(state.ravel()[:d].sum()), t, order, tail_tol):
         if t >= stop:
             if t >= max_horizon:
                 raise NonAbsorbingError(surviving, max_horizon)
-            _check_absorbs(tail, state.ravel()[:d], order, tail_tol, max_horizon)
+            tail = _closing_tail(schedule, start, t0, state.ravel()[:d], order, tail_tol, max_horizon)
             if closes and tail[2]:
                 return state, tail
             stop = max_horizon
@@ -465,68 +467,53 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
     return state, None
 
 
-def _homogeneous_tail(schedule: Schedule, start: int):
-    """(t0, period, closable): from step t0 after `start` on, `period`
-    repeats forever.
+def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
+    """The homogeneous tail (t0, period, closable) at its first step t0
+    after `start`, where the stage vector is x; raises NonAbsorbingError as
+    the recurrence would, if the stopping rule holds at no step from t0 to
+    max_horizon.
 
-    A hold-last (or constant) schedule holds its last matrix from step
-    prefix_length - 1 - start; a cycle is taken from one period after
-    `start`, at phase start mod p. None for an "error" schedule, which has
-    no such tail, and for a negative start, which schedule.indices refuses
-    at the first step. closable is False when some stage cannot reach
-    absorption at some phase, where no fundamental matrix exists.
+    period = (ks, matrices, product) is the repeating stretch: the matrix
+    indices of steps t0, ..., t0 + p - 1 (p = 1 for a hold-last schedule,
+    prefix_length for a cycle), their matrices and their product Pi. The
+    product is squared to carry x to max_horizon. The mass of x times the
+    largest column sum of a power of Pi bounds the mass left after that
+    many periods, and the squaring stops once the bound passes the rule at
+    max_horizon, before the entries reach float64's subnormal range, where a
+    squaring is a hundred times slower. A mass of tail_tol or more at
+    max_horizon passes the rule at no earlier step, since the mass never
+    rises. A smaller one may, if a moment order's weighted mass fell below
+    tail_tol and rose again, so the steps are then followed one at a time.
+
+    closable says that I - Pi can be inverted, as the closed tails need: one
+    of the powers read has every column sum below 1 less the rounding
+    margin of _decay_rate for each of the n steps it covers. A column
+    summing to 1 less a few units of rounding is not taken for decay, and a
+    tail whose decay no power read shows before max_horizon is not closed.
     """
-    if schedule.extension == "error" or start < 0:
-        return None
-    if schedule.extension == "hold_last":
-        t0, p = max(schedule.prefix_length - 1 - start, 0), 1
-    else:
-        t0 = p = schedule.prefix_length
+    p = schedule.prefix_length if schedule.extension == "cycle" else 1
     ks = list(itertools.islice(schedule.indices(start + t0), p))
-    period = [schedule.matrices[k] for k in ks]
-    dies = np.array([schedule._absorptions[k] > 0 for k in ks])   # [m, j]: can die from j at phase m
-    while True:
-        before = dies.copy()
-        for m in reversed(range(p)):   # backwards, so one sweep follows a path once round the cycle
-            dies[m] |= (period[m] > 0).T @ dies[(m + 1) % p]
-        if (dies == before).all():
-            return t0, period, bool(dies.all())
-
-
-def _check_absorbs(tail, x, order, tail_tol, max_horizon) -> None:
-    """Raise NonAbsorbingError as the recurrence would: if the stopping rule
-    holds at no step from t0 of tail = (t0, period, _), where the stage
-    vector is x, to max_horizon.
-
-    The period product is squared to carry x to max_horizon. The mass of x
-    times the largest column sum of the powered product bounds the mass left
-    after that many periods, and the squaring stops once the bound passes
-    the rule at max_horizon, before the entries reach float64's subnormal
-    range, where a squaring is a hundred times slower. A mass of tail_tol or
-    more at max_horizon passes the rule at no earlier step, since the mass
-    never rises. A smaller one may, if a moment order's weighted mass fell
-    below tail_tol and rose again, so the steps are then followed one at a
-    time."""
-    t0, period, _ = tail
-    q, rest = divmod(max_horizon - t0, len(period))
-    product = functools.reduce(lambda acc, H: H @ acc, period)
-    y = x
+    matrices = [schedule.matrices[k] for k in ks]
+    period = ks, matrices, functools.reduce(lambda acc, H: H @ acc, matrices)
+    q, rest = divmod(max_horizon - t0, p)
+    power, steps, y, closable = period[2], p, x, False
     while q:
-        bound = float(product.sum(axis=0).max())   # product is a power of the period product
+        bound = float(power.sum(axis=0).max())
+        closable = closable or bound < 1.0 - 4 * (x.size + 1) * steps * sys.float_info.epsilon
         if bound <= 1.0 and _negligible(float(y.sum()) * bound, max_horizon, order, tail_tol):
-            return
+            return t0, period, closable
         if q & 1:
-            y = product @ y
-        product, q = product @ product, q >> 1
-    for H in period[:rest]:
+            y = power @ y
+        power, q, steps = power @ power, q >> 1, 2 * steps
+    for H in matrices[:rest]:
         y = H @ y
     if _negligible(mass := float(y.sum()), max_horizon, order, tail_tol):
-        return
+        return t0, period, closable
     if mass < tail_tol:
-        for t, H in zip(range(t0 + 1, max_horizon), itertools.cycle(period)):
+        for t, H in zip(range(t0 + 1, max_horizon), itertools.cycle(matrices)):
             x = H @ x
             if _negligible(float(x.sum()), t, order, tail_tol):
-                return
+                return t0, period, closable
     raise NonAbsorbingError(mass, max_horizon)
 
 
@@ -587,25 +574,25 @@ def _kept_states(schedule, state, start, advance, order, tail_tol, max_horizon) 
     array of shape (steps + 1, *state.shape).
 
     A hold-last or cycle schedule whose state has at most MAX_SEGMENT_STATES
-    entries is stepped only to where it turns homogeneous (see
-    _homogeneous_tail). The rest is evaluated by _segment_tail, which
-    applies `advance` to a batch of states (a leading axis), to the same
-    horizon and with the same NonAbsorbingError."""
-    start, (tail_tol, max_horizon) = _integer(start, "start"), _check_truncation(tail_tol, max_horizon)
+    entries is stepped only to where it turns homogeneous, if the tail
+    there is closable (see _closing_tail). The rest is evaluated by
+    _segment_tail, which applies `advance` to a batch of states (a leading
+    axis) with the period's matrix indices, to the same horizon and with
+    the same NonAbsorbingError."""
+    tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     kept = []
     final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance, kept.append, order,
                               state.size <= MAX_SEGMENT_STATES)
     if tail is None:
         return np.array(kept + [final])
-    (t0, period, _), d = tail, schedule.d
+    (t0, (phases, _, _), _), d = tail, schedule.d
     last = max_horizon - t0
-    phases = list(itertools.islice(schedule.indices(start + t0), len(period)))
 
     def ends(rows, j):
         return _first_negligible(rows[:, :d].sum(axis=1), t0 + j, order, tail_tol)
 
-    rows, n = _segment_tail(final, len(period), lambda X, m: advance(X, phases[m]), last, ends, len(kept))
-    if n is None:   # the rule held at no step up to max_horizon, though _check_absorbs found one
+    rows, n = _segment_tail(final, len(phases), lambda X, m: advance(X, phases[m]), last, ends, len(kept))
+    if n is None:   # the rule held at no step up to max_horizon, though _closing_tail found one
         raise NonAbsorbingError(float(rows[len(kept) + last, :d].sum()), max_horizon)
     states = rows[: len(kept) + n + 1].reshape(-1, *state.shape)
     if kept:

@@ -20,7 +20,6 @@ without ever forming the full distribution.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -235,7 +234,8 @@ def evolve_joint(
 
 def _closed_distribution(rows, lo, atoms, period, r, tail_tol):
     """Occupancy atoms and tail_mass of table `rows` (p(lo + a, j) at the
-    first step of the repeating `period`) plus the `atoms` lost before it.
+    first step of the repeating `period`, as _closing_tail gives it) plus
+    the `atoms` lost before it.
 
     From each stage, the number of further target visits is read off the
     visit chain censored on the target stages of the p*d phase x stage chain
@@ -248,9 +248,10 @@ def _closed_distribution(rows, lo, atoms, period, r, tail_tol):
     the mass still to visit (Q^k applied to the waiting mass) and the visit
     pmf, are summed by _segment_tail.
     """
-    p, d = len(period), r.size
+    (_, matrices, _), d = period, r.size
+    p = len(matrices)
     G = np.zeros((p, d, p, d))
-    for m, H in enumerate(period):
+    for m, H in enumerate(matrices):
         G[(m + 1) % p, :, m, :] = H
     G = G.reshape(p * d, p * d)
     R, N = np.flatnonzero(np.tile(r, p)), np.flatnonzero(np.tile(r == 0, p))
@@ -301,10 +302,11 @@ def occupancy_distribution(
     sum to 1.
 
     A hold-last or cycle schedule whose mass is not yet negligible where it
-    becomes homogeneous (see _homogeneous_tail) is closed there exactly by
-    _closed_distribution instead; tail_mass is then the probability of an
-    occupancy beyond the last atom plus the cut mass, together below
-    tail_tol, as the visit series stops at tail_tol less the cut mass.
+    becomes homogeneous is closed there exactly by _closed_distribution
+    instead, if that tail is closable (see chain._closing_tail); tail_mass
+    is then the probability of an occupancy beyond the last atom plus the
+    cut mass, together below tail_tol, as the visit series stops at
+    tail_tol less the cut mass.
     """
     schedule, state, order, lift = _target_first(schedule, initial, target)
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
@@ -417,7 +419,8 @@ def _absorbing_step(U, b) -> np.ndarray:
 
 def _closed_moments(M, period, r):
     """E[(a + V)^k], k = 0..order, summed over the stack M of one phase of
-    the repeating `period`, V being the target visits still to come.
+    the repeating `period` (as _closing_tail gives it), V being the target
+    visits still to come.
 
     The backward per-stage moments u_k = E[V^k | stage] solve, phase by
     phase, u_k = c_k + H' u_k(next phase) with c_k = r * (1 + sum_{0<i<k}
@@ -427,10 +430,9 @@ def _closed_moments(M, period, r):
     and substituted back through the phases. The stack then gives
     sum_i C(k, i) M_{k-i} . u_i.
     """
-    order, d = M.shape[0] - 1, r.size
-    p = len(period)
+    (_, matrices, product), order, d = period, M.shape[0] - 1, r.size
+    p = len(matrices)
     pascal = _binomial_shift(order) + np.eye(order + 1)
-    product = functools.reduce(lambda acc, H: H @ acc, period)
     inverse = np.linalg.inv(np.eye(d) - product.T)
     u = np.zeros((order + 1, p, d))       # u[k, m]: u_k at phase m
     ahead = np.zeros((order + 1, p, d))   # ahead[k, m]: H_m' u_k(phase m + 1)
@@ -439,11 +441,11 @@ def _closed_moments(M, period, r):
         c = r * (1.0 + np.tensordot(pascal[k, 1:k], ahead[1:k], axes=1))
         carried = c[p - 1]
         for m in range(p - 2, -1, -1):
-            carried = c[m] + period[m].T @ carried
+            carried = c[m] + matrices[m].T @ carried
         u[k, 0] = inverse @ carried
         for m in range(p - 1, 0, -1):
-            u[k, m] = c[m] + period[m].T @ u[k, (m + 1) % p]
-        ahead[k] = [H.T @ u[k, (m + 1) % p] for m, H in enumerate(period)]
+            u[k, m] = c[m] + matrices[m].T @ u[k, (m + 1) % p]
+        ahead[k] = [H.T @ u[k, (m + 1) % p] for m, H in enumerate(matrices)]
     ks = np.arange(order + 1)
     pairs = (M @ u[:, 0].T)[np.maximum(ks[:, None] - ks, 0), ks]   # [k, i <= k]: M_{k-i} . u_i
     return (pascal * pairs).sum(axis=1)
@@ -525,8 +527,9 @@ def occupancy_moments(
     and uses the same moment-aware stopping rule (see moment_tables), so the
     truncation error in each reported moment is of order tail_tol. A
     hold-last or cycle schedule whose weighted mass is not yet negligible
-    where it becomes homogeneous (see _homogeneous_tail) is closed there
-    exactly by _closed_moments, with no truncation error.
+    where it becomes homogeneous is closed there exactly by _closed_moments,
+    with no truncation error, if that tail is closable (see
+    chain._closing_tail).
     """
     order = _integer(order, "order", 1)
     d = schedule.d

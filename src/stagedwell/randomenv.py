@@ -20,11 +20,14 @@ drawn condition, each of the shape occupancy_moments takes, and one
 sequence's moments are bit for bit those of occupancy_moments on its steps.
 The stopping masses are read only at the steps where some sequence's rule
 can hold, as in chain._recurrence. Each sequence draws its condition indices
-lazily, in chunks, only as far as its own truncation rule follows it. The
-steps between two reads are taken from their operands, the bordered steps
-of each live sequence's drawn conditions, gathered with one fancy index per
-window of at most _GATHER_BYTES, so a step is the two products alone. The
-seeding contract: sequence i is the one sample_schedule draws from
+lazily, in chunks, only as far as its own truncation rule follows it, and
+from the first position a step reads, min(start, length - 1): its generator
+is advanced past the positions before it, as PCG64's advance skips 64-bit
+words and random() takes one per double. The steps between two reads are
+taken from their operands, the bordered steps of each live sequence's drawn
+conditions, gathered with one fancy index per window of at most
+_GATHER_BYTES, so a step is the two products alone. The seeding contract:
+sequence i is the one sample_schedule draws from
 np.random.default_rng((*seed, i)), since chunked draws from a generator give
 the indices of one bulk draw, and a draw of n indices is
 np.searchsorted(cdf, rng.random(n), side="right") with cdf the cumulative
@@ -176,9 +179,11 @@ def two_level_stats(
 
     Sequence i is drawn as the module docstring's seeding contract states,
     sample_length (default max_horizon) indices long and holding its last
-    condition beyond them. Its moments are those of occupancy_moments(order=2)
-    on its steps listed with extension "error" (on the sampled schedule
-    itself that engine would close the held tail exactly instead).
+    condition beyond them; its generator is first advanced past the
+    min(start, sample_length - 1) positions no step reads. Its moments are
+    those of occupancy_moments(order=2) on its steps listed with extension
+    "error" (on the sampled schedule itself that engine would close the
+    held tail exactly instead).
     NonAbsorbingError names the lowest sequence still alive after
     max_horizon steps. After each read of the stopping masses, the steps
     the rule cannot hold at are drawn for at once and taken from their
@@ -199,8 +204,10 @@ def two_level_stats(
     d, absorptions = spec.d, [absorption_vector(U) for U in spec.matrices]
     steps = np.stack([_absorbing_step(U, a) for U, a in zip(spec.matrices, absorptions)])
     M, W, advance = _moment_start(spec, initial, target, 2, steps)
-    base = _seed_entropy(seed)
+    base, skip = _seed_entropy(seed), min(start, length - 1)
     rngs = [np.random.default_rng((*base, i)) for i in range(n_sequences)]
+    for rng in rngs:   # past the positions no step reads
+        rng.bit_generator.advance(skip)
     cdf, rate = _cdf(spec), _decay_rate(absorptions)
     moments = np.empty((n_sequences, 3))
     live = np.arange(n_sequences)
@@ -211,8 +218,9 @@ def two_level_stats(
     # sequence leaves once the first d entries of its row 0 meet its own
     # stopping rule, and after a read at t the steps up to `end` that
     # _unchecked finds for the least live mass, at the worst condition's
-    # rate, are taken unread, step n with row min(start + n, length - 1) of
-    # drawn: rows first to last, then `last` again past the drawn length
+    # rate, are taken unread, step n with row min(start + n, length - 1) -
+    # skip of drawn, position skip + row of the sequence's draws: rows first
+    # to last, then `last` again past the drawn length
     held = t = 0
     while True:
         mass = M[:, 0, :d].sum(axis=1)
@@ -228,9 +236,9 @@ def two_level_stats(
         end = min(t + 1 + _unchecked(float(mass.min()), t, 2, tail_tol, rate), max_horizon)
         if t <= max(length, start) - start < end:
             held = live.size
-        first, last = (min(start + n, length - 1) for n in (t, end - 1))
+        first, last = (min(start + n, length - 1) - skip for n in (t, end - 1))
         while last >= len(drawn):
-            size = min(max(2 * len(drawn), FIRST_DRAW, first + 1), length) - len(drawn)
+            size = min(max(2 * len(drawn), FIRST_DRAW, first + 1), length - skip) - len(drawn)
             chunk = np.searchsorted(cdf, [rngs[i].random(size) for i in live], side="right")
             drawn = np.concatenate([drawn, chunk.T])
         window = max(_GATHER_BYTES // (live.size * W[0].nbytes), 1)

@@ -438,13 +438,39 @@ class TestClosedTail:
     def test_immortal_stage_off_the_path_keeps_the_recurrence(self):
         # stage 1 never dies but is never entered: I - H is singular, so the
         # tail is not closed, and the results are the recurrence's bit for bit
-        sched = sw.Schedule.constant([[0.5, 0.0], [0.0, 1.0]])
-        target = sw.TargetSet(2, frozenset({0}))
-        reference = _written_out(sched, 200)
-        assert sw.occupancy_distribution(sched, [1.0, 0.0], target) == \
-            sw.occupancy_distribution(reference, [1.0, 0.0], target)
-        assert sw.occupancy_moments(sched, [1.0, 0.0], target, order=3) == \
-            sw.occupancy_moments(reference, [1.0, 0.0], target, order=3)
+        schedules = [sw.Schedule.constant([[0.5, 0.0], [0.0, 1.0]])]
+        # so is a never-entered block normalized by its column sums, one of
+        # which rounds to 1 - 1 ulp: that is rounding, not a stage that can
+        # die, and closing such a tail was a singular solve (LinAlgError)
+        for seed, k in [(84, 2), (16, 3), (2, 4)]:
+            block = np.random.default_rng(seed).random((k, k))
+            block /= block.sum(axis=0)
+            assert (block.sum(axis=0) == np.nextafter(1.0, 0.0)).any()
+            H = np.zeros((k + 1, k + 1))
+            H[0, 0], H[1:, 1:] = 0.5, block
+            schedules.append(sw.Schedule.constant(H))
+        for sched in schedules:
+            v, target = np.eye(sched.d)[0], sw.TargetSet(sched.d, frozenset({0}))
+            reference = _written_out(sched, 200)
+            assert sw.occupancy_distribution(sched, v, target) == sw.occupancy_distribution(reference, v, target)
+            assert sw.occupancy_moments(sched, v, target, order=3) == \
+                sw.occupancy_moments(reference, v, target, order=3)
+
+    @pytest.mark.parametrize("max_horizon, closes", [(1, False), (sw.DEFAULT_MAX_HORIZON, True)])
+    def test_a_decay_the_squarings_cannot_show_is_stepped(self, max_horizon, closes):
+        # stage 0 passes all its mass on to stage 1, which keeps half: the
+        # held matrix's column 0 sums to 1, and its square shows the decay.
+        # At max_horizon 1 the closing-step check reads the matrix alone, so
+        # the tail is stepped, not closed; at the default it is closed
+        sched, v = sw.Schedule.constant([[0.0, 0.0], [1.0, 0.5]]), [0.0, 1.0]
+        target = sw.TargetSet(2, frozenset({1}))
+        closed = sw.occupancy._closed_distribution
+        with mock.patch.object(sw.occupancy, "_closed_distribution", wraps=closed) as closing:
+            dist = sw.occupancy_distribution(sched, v, target, tail_tol=0.6, max_horizon=max_horizon)
+        assert closing.called == closes
+        assert dist == sw.occupancy_distribution(_written_out(sched, 2), v, target, tail_tol=0.6,
+                                                 max_horizon=max_horizon)
+        assert (dist.probs, dist.tail_mass) == ({1: 0.5}, 0.5)
 
     def test_long_cycle_keeps_the_recurrence(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -781,10 +807,14 @@ class TestSkippedChecks:
 
     @pytest.mark.parametrize("engine", ["lifetime_distribution", "moment_tables"])
     def test_segmented_tail_raises_if_the_check_missed(self, engine):
-        # 0.999**50 of the mass is alive at max_horizon, so _check_absorbs
-        # raises at the closing step; with it patched out, the segmented
-        # tail must find that itself and raise as the recurrence would
-        with mock.patch.object(sw.chain, "_check_absorbs", lambda *args: None), \
+        # 0.999**50 of the mass is alive at max_horizon, so _closing_tail
+        # raises at the closing step; with it patched to return the held
+        # tail without a check, the segmented tail must find that itself
+        # and raise as the recurrence would
+        def unchecked(schedule, start, t0, *rest):
+            return t0, ([0], list(schedule.matrices), schedule.matrices[0]), True
+
+        with mock.patch.object(sw.chain, "_closing_tail", unchecked), \
                 pytest.raises(sw.NonAbsorbingError) as info:
             ENGINES[engine](sw.Schedule.constant([[0.999]]), [1.0], sw.TargetSet(1, frozenset()), max_horizon=50)
         assert info.value.horizon == 50
