@@ -10,8 +10,9 @@ table by
     p(., n+1) = B(n) applied to [ shift-up of the target rows of p(., n)
                                   plus the unshifted non-target rows ]
 
-which is iterated here in vectorized form, with the target stages ordered
-first so that the shift is two block copies. Summing absorption losses over
+which is iterated here in vectorized form on the table kept shifted, with
+the target stages ordered first so that the shift is where one of two
+products writes its rows (see _target_first). Summing absorption losses over
 time yields the distribution of the lifetime occupancy total, and the same
 transport acting on a stack of weighted tables yields its raw moments
 without ever forming the full distribution.
@@ -122,32 +123,64 @@ def _occupancy_start(chain, initial, target: TargetSet) -> np.ndarray:
 
 
 def _target_first(schedule: Schedule, initial, target: TargetSet):
-    """The chain with its target stages first, and its occupancy-count lift.
+    """The chain with its target stages first, its lifted table and step.
 
-    Returns (schedule, table, order, lift): the schedule and initial table
-    over the stages taken in `order`, the target members and then the rest,
-    each in the caller's order, and the lift moving the target stages' mass
-    up one row in a. Row 1 + a of the table holds occupancy a, so the
-    initial table's row 1 is p(0, start). Row 0 is the surviving stage
-    vector, the sum of all occupancy rows, which _recurrence stops on: it
-    starts as p(0, start) too and is passed through by the lift unchanged,
-    so the step's product keeps it the sum. The lift appends one zero row
-    and copies the target block one row up into a new array. The closed
-    tail does not depend on stage order and runs on this chain unchanged.
+    Returns (schedule, band, order, step): the schedule over the stages
+    taken in `order`, the target members and then the rest, each in the
+    caller's order; the initial table in the lifted layout; and the step
+    moving a lifted table by one matrix of the schedule. The closed tail
+    does not depend on stage order and runs on this chain unchanged.
+
+    In the lifted layout, with the first n_target columns the target
+    stages, row 1 + a holds the mass whose occupancy is lo + a once the
+    current step is counted: the target stages' mass of occupancy lo + a - 1
+    and the other stages' of lo + a (lo is 0 until occupancy_distribution
+    trims its band). Column d holds the mass absorbed so far at each row's
+    occupancy. Row 0 is the surviving stage vector, the sum of all
+    occupancy rows, which _recurrence stops on.
+
+    step(band, k) applies matrix k's bordered step [[U', b], [0, 1]] (see
+    _absorbing_step) as two products by its column blocks, split at
+    n_target, both written into a spare buffer: the target block one row
+    down, which counts the next step for the mass it moves into the target
+    stages, and the block of the other columns and the absorbed column in
+    the same rows. Row 0's target part then moves back up, and the new
+    last row's other columns are zeroed. The band and the spare buffer
+    trade places at each step, and a buffer too small for the next table is
+    replaced by one of twice its rows, so a band `step` returns is written
+    over two steps on.
     """
     v = _occupancy_start(schedule, initial, target)[0]
     order = np.argsort(target.mask == 0, kind="stable")
-    n_target, d = len(target.members), schedule.d
-    rows = np.tile(v[order], (2, 1))
-    zero = np.zeros((1, d))
+    v, schedule, n_target, d = v[order], schedule._permuted(order), len(target.members), schedule.d
+    blocks = [(S[:, :n_target].copy(), S[:, n_target:].copy())
+              for S in map(_absorbing_step, schedule.matrices, schedule._absorptions)]
+    band = np.zeros((3, d + 1))
+    band[0, :d], band[1, n_target:d], band[2, :n_target] = v, v[n_target:], v[:n_target]
+    current, spare = band, np.empty((0, d + 1))
 
-    def lift(rows):
-        out = np.concatenate((rows, zero))
-        out[2:, :n_target] = rows[1:, :n_target]
+    def step(band, k):
+        nonlocal current, spare
+        n = band.shape[0]
+        out = spare if spare.shape[0] > n else np.empty((2 * n, d + 1))
+        moved, kept = blocks[k]
+        np.matmul(band, moved, out=out[1 : n + 1, :n_target])
+        np.matmul(band, kept, out=out[:n, n_target:])
+        out[0, :n_target] = out[1, :n_target]
         out[1, :n_target] = 0.0
-        return out
+        out[n, n_target:] = 0.0
+        current, spare = out, current
+        return out[: n + 1]
 
-    return schedule._permuted(order), rows, order, lift
+    return schedule, band, order, step
+
+
+def _unlifted(band, n_target) -> np.ndarray:
+    """The table p(lo + a, .), a = 0 .. rows - 3, of a band in the lifted
+    layout (see _target_first) whose row 1 holds no target mass, as every
+    band the step returns: the target stages' rows come from one row
+    further down than the others'."""
+    return np.hstack((band[2:, :n_target], band[1:-1, n_target:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,21 +247,25 @@ def evolve_joint(
     not happened within max_horizon steps. A chain that never absorbs would
     keep about max_horizon**2 / 2 rows before that, so the stage vector,
     row 0 of the table, is stepped first, in O(d) memory, to raise there
-    instead.
+    instead. That pass also reads the closing step and records the matrix
+    of each step, and the tables then take those steps (see _target_first
+    for their step and layout), un-lifted as they are kept.
     """
-    schedule, rows, order, lift = _target_first(schedule, initial, target)
-    _recurrence(schedule, rows[0], start, tail_tol, max_horizon, lambda x, k: x @ schedule._transposes[k],
-                closes=True)
-    back = np.argsort(order)
-    tables = []
+    schedule, band, order, step = _target_first(schedule, initial, target)
+    ks = []
 
-    def keep(rows):
-        tables.append(rows[1:, back])
-        tables[-1].flags.writeable = False
+    def advance(x, k):
+        ks.append(k)
+        return x @ schedule._transposes[k]
 
-    final, _ = _recurrence(schedule, rows, start, tail_tol, max_horizon,
-                           lambda rows, k: lift(rows) @ schedule._transposes[k], keep)
-    keep(final)
+    _recurrence(schedule, band[0, :-1], start, tail_tol, max_horizon, advance)
+    back, n_target = np.argsort(order), len(target.members)
+    tables = [_unlifted(band, n_target)[:, back]]
+    for k in ks:
+        band = step(band, k)
+        tables.append(_unlifted(band, n_target)[:, back])
+    for table in tables:
+        table.flags.writeable = False
     return JointOccupancyTable(start=int(start), values=tuple(tables))
 
 
@@ -242,11 +279,12 @@ def _closed_distribution(rows, lo, atoms, period, r, tail_tol):
     G: E = G_RN (I - G_NN)^-1 takes a non-target stage to the target stage
     it next visits, Q = G_RR + E G_NR one target visit to the next, and
     s = 1 - 1'Q is the chance of none after a visit. The table, moved to its
-    next visit, is convolved directly (no FFT, so atoms stay nonnegative)
-    with the visit pmf s' Q^(k-1), k = 1, 2, ..., until the mass still to
-    visit, the returned tail_mass, falls below tail_tol. Both power series,
-    the mass still to visit (Q^k applied to the waiting mass) and the visit
-    pmf, are summed by _segment_tail.
+    next visit, is convolved directly, as one product summed along its
+    anti-diagonals (no FFT, so atoms stay nonnegative), with the visit pmf
+    s' Q^(k-1), k = 1, 2, ..., until the mass still to visit, the returned
+    tail_mass, falls below tail_tol. Both power series, the mass still to
+    visit (Q^k applied to the waiting mass) and the visit pmf, are summed
+    by _segment_tail.
     """
     (_, matrices, _), d = period, r.size
     p = len(matrices)
@@ -270,8 +308,20 @@ def _closed_distribution(rows, lo, atoms, period, r, tail_tol):
     out[lo:top] += rows[:, n0] @ np.maximum(1.0 - E.sum(axis=0), 0.0)
     if K:
         pmf, _ = _segment_tail(np.maximum(1.0 - Q.sum(axis=0), 0.0), 1, lambda X, _: X @ Q, K - 1)
-        out[lo + 1 : top + K] += sum(np.convolve(Y[:, i], pmf[:K, i]) for i in range(R.size))
+        # sum_i convolve(Y[:, i], pmf[:K, i]): pmf[k] . Y[a] summed along k + a
+        out[lo + 1 : top + K] += _antidiagonal_sums(pmf[:K] @ Y.T)
     return out, float(waiting[K].sum())
+
+
+def _antidiagonal_sums(C) -> np.ndarray:
+    """Sums of C[i, j] over i + j = 0, 1, ..., sum(C.shape) - 2. Taken along
+    its shorter side, C, padded with as many zero columns as it has rows,
+    is read as rows one entry shorter, which moves row i right by i."""
+    C = C if C.shape[0] <= C.shape[1] else C.T
+    (rows, columns), width = C.shape, sum(C.shape)
+    sheared = np.zeros((rows, width))
+    sheared[:, :columns] = C
+    return sheared.ravel()[: rows * (width - 1)].reshape(rows, width - 1).sum(axis=0)
 
 
 def occupancy_distribution(
@@ -284,11 +334,13 @@ def occupancy_distribution(
 ) -> OccupancyDistribution:
     """Distribution of the lifetime number of steps spent in `target`.
 
-    Accumulates, over each step, the occupancy-resolved absorption losses
-    b(n)' applied to the transported table, so the atoms need no final pass
-    over a stored table stack. Truncation mirrors lifetime_distribution: the
-    n-sum stops once surviving mass is below tail_tol and the neglected mass
-    is reported as the tail (each stored atom is exact up to that tail).
+    The table is stepped in the lifted layout (see _target_first), whose
+    absorbed column gathers each occupancy's absorption losses as the steps
+    go; they join the atoms where the trim cuts a row and at the end, so
+    the atoms need no pass over a stored table stack. Truncation mirrors
+    lifetime_distribution: the n-sum stops once surviving mass is below
+    tail_tol and the neglected mass is reported as the tail (each stored
+    atom is exact up to that tail).
 
     The table is carried as a band of rows lo, lo + 1, ... Every
     _TRIM_EVERY steps the leading and trailing rows whose combined mass fits
@@ -308,43 +360,45 @@ def occupancy_distribution(
     cut mass, together below tail_tol, as the visit series stops at
     tail_tol less the cut mass.
     """
-    schedule, state, order, lift = _target_first(schedule, initial, target)
+    schedule, band, order, step = _target_first(schedule, initial, target)
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
-    acc, ones = np.zeros(64), np.ones(schedule.d)
-    lo, cut, steps = 0, 0.0, 0
+    n_target, d, ones = len(target.members), schedule.d, np.ones(schedule.d)
+    lo, cut, steps, spent = 0, 0.0, 0, []
 
-    def advance(state, k):
+    def advance(band, k):
         # first cuts the edge rows that fit the allowance, keeping row 0;
         # they never all fit, as the surviving mass, at least tail_tol, is at
-        # most the band's plus cut
-        nonlocal acc, lo, cut, steps
+        # most the band's plus cut. A cut row's absorbed mass is not cut: it
+        # joins the atoms at the row's occupancy.
+        nonlocal lo, cut, steps
         steps += 1
         if steps % _TRIM_EVERY == 0:
             allowance = tail_tol * steps / (2 * min(max_horizon, sys.maxsize))
-            mass = (state[1:] @ ones).tolist()
+            mass = (band[1:, :d] @ ones).tolist()
             i = j = 0
             while cut + mass[i] <= allowance:
                 cut, i = cut + mass[i], i + 1
             while cut + mass[-1 - j] <= allowance:
                 cut, j = cut + mass[-1 - j], j + 1
             if i + j:
-                kept = state[i : len(mass) + 1 - j]
-                kept[0] = state[0]
-                state, lo = kept, lo + i
-        lifted = lift(state)
-        top = lo + lifted.shape[0] - 1
-        if acc.size < top:
-            acc = np.concatenate([acc, np.zeros(acc.size)])
-        acc[lo:top] += lifted[1:] @ schedule._absorptions[k]
-        return lifted @ schedule._transposes[k]
+                rows = np.r_[1 : i + 1, len(mass) + 1 - j : len(mass) + 1]
+                spent.append((lo - 1 + rows, band[rows, d]))
+                kept = band[i : len(mass) + 1 - j]
+                kept[0] = band[0]
+                band, lo = kept, lo + i
+        return step(band, k)
 
     period = schedule.prefix_length if schedule.extension == "cycle" else 1
-    state, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance,
-                              closes=period * schedule.d <= MAX_CLOSED_CYCLE_STATES)
+    band, tail = _recurrence(schedule, band, start, tail_tol, max_horizon, advance,
+                             closes=period * d <= MAX_CLOSED_CYCLE_STATES)
+    spent.append((np.arange(lo, lo + band.shape[0] - 1), band[1:, d]))
+    occupancies, losses = map(np.concatenate, zip(*spent))
+    atoms = np.bincount(occupancies, losses)
     if tail is None:
-        atoms, tail_mass = acc, float(state[1:].sum())
+        tail_mass = float(band[1:, :d].sum())
     else:
-        atoms, tail_mass = _closed_distribution(state[1:], lo, acc, tail[1], target.mask[order], tail_tol - cut)
+        atoms, tail_mass = _closed_distribution(_unlifted(band, n_target), lo, atoms, tail[1], target.mask[order],
+                                                tail_tol - cut)
     nonzero = np.flatnonzero(atoms)
     return OccupancyDistribution(dict(zip(nonzero.tolist(), atoms[nonzero].tolist())), tail_mass=tail_mass + cut)
 

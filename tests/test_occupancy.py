@@ -137,6 +137,16 @@ class TestEvolveJoint:
         assert info.value.horizon == 5000
         assert peak < 10 * 2**20
 
+    def test_reads_the_closing_step_once(self):
+        # the stage vector's pass reads the tail and counts the steps; the
+        # tables are then stepped that many times without another check
+        data = sw.builtin_fulmar()
+        target = sw.TargetSet.from_labels(data.states, ("successful breeder", "failed breeder"))
+        with mock.patch.object(sw.chain, "_closing_tail", wraps=sw.chain._closing_tail) as closing:
+            table = sw.evolve_joint(sw.Schedule.constant(data.matrices["U_f"]), (1.0, 0.0, 0.0, 0.0), target)
+        assert closing.call_count == 1
+        assert table.mass(table.horizon) < sw.DEFAULT_TAIL_TOL <= table.mass(table.horizon - 1)
+
     @pytest.mark.parametrize("members", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)],
                              ids=lambda m: "".join(map(str, m)) or "none")
     def test_matches_brute_force_entry_by_entry(self, members):
@@ -609,6 +619,21 @@ class TestBand:
         reference[: atoms.size] = atoms
         # the reference is exact up to its own tail; 1e-14 is for rounding
         assert np.abs(banded.to_array(reference.size) - reference).max() <= banded.tail_mass + tail + 1e-14
+
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_wide_chains_within_tail_mass_of_the_full_table(self, d):
+        # the hypothesis cases above stop at d = 4; here the step's two
+        # products write strided column blocks as wide as long_horizon's
+        rng = np.random.default_rng(d)
+        mats = [random_substochastic(rng, d, low=0.85, high=0.95) for _ in range(3)]
+        sched = sw.Schedule.explicit(mats, rng.integers(0, 3, size=400), "error")
+        v, target = random_distribution(rng, d), sw.TargetSet(d, frozenset(range(0, d, 3)))
+        banded = sw.occupancy_distribution(sched, v, target, max_horizon=400)
+        atoms, _ = _joint_atoms(sched, v, target, max_horizon=400)
+        assert 0.0 < banded.tail_mass <= 1.5 * sw.DEFAULT_TAIL_TOL
+        assert banded.total() == pytest.approx(1.0, abs=1e-12)
+        assert len(banded.probs) < np.count_nonzero(atoms)   # the band was trimmed
+        assert np.abs(banded.to_array(atoms.size) - atoms).max() <= banded.tail_mass + 1e-14
 
     @pytest.mark.parametrize("members", [(0,), (1, 2), (0, 2)])
     def test_a_trimmed_band_stays_within_tail_mass(self, members):
