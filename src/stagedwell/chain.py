@@ -380,10 +380,14 @@ def _first_negligible(masses: np.ndarray, t: int, order: int, tail_tol: float):
     """Index of the first of `masses`, those at steps t, t+1, ..., that the
     stopping rule ends the loop at, or None.
 
-    numpy's power may round (t+1)**order a unit differently from Python's,
-    so it only screens: each entry not clear of tail_tol by far more than
-    that rounding is judged by _negligible itself, in order.
+    A single mass, as at each segment start of _segment_tail, is judged by
+    _negligible alone. Otherwise numpy's power, which may round
+    (t+1)**order a unit differently from Python's, only screens: each entry
+    not clear of tail_tol by far more than that rounding is judged by
+    _negligible itself, in order.
     """
+    if masses.size == 1:
+        return 0 if _negligible(float(masses[0]), t, order, tail_tol) else None
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = masses * np.arange(t + 1.0, t + 1.0 + masses.size) ** order
         near = ~(weighted >= tail_tol * (1.0 + 1e-9)) | ~(masses >= sys.float_info.min)
@@ -557,7 +561,7 @@ def _segment_tail(x, p, step, last, ends=None, head=0):
             jump = jump.reshape(size, size)
             for _ in range(m.bit_length() - 1):
                 jump = jump @ jump
-        starts.append(starts[-1] @ jump)
+        starts.append(starts[-1].dot(jump))
     rows = np.empty((head + len(starts) * length, size))
     segments = rows[head:].reshape(len(starts), length, size)
     segments[:, 0] = starts
@@ -621,7 +625,7 @@ def lifetime_distribution(
     (see _kept_states), to the same horizon and with the same errors.
     """
     w = validate_distribution(initial, schedule.d)
-    states = _kept_states(schedule, w, start, lambda w, k: w @ schedule._transposes[k], 0, tail_tol, max_horizon)
+    states = _kept_states(schedule, w, start, lambda w, k: w.dot(schedule._transposes[k]), 0, tail_tol, max_horizon)
     losses = np.array(schedule._absorptions)[list(itertools.islice(schedule.indices(start), len(states) - 1))]
     deaths = np.einsum("ij,ij->i", states[:-1], losses)
     probs = {n: died for n, died in enumerate(deaths.tolist(), start=1) if died != 0.0}

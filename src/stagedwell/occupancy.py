@@ -256,7 +256,7 @@ def evolve_joint(
 
     def advance(x, k):
         ks.append(k)
-        return x @ schedule._transposes[k]
+        return x.dot(schedule._transposes[k])
 
     _recurrence(schedule, band[0, :-1], start, tail_tol, max_horizon, advance)
     back, n_target = np.argsort(order), len(target.members)
@@ -300,14 +300,14 @@ def _closed_distribution(rows, lo, atoms, period, r, tail_tol):
     E = G[np.ix_(R, N)] @ W[:, R.size:]
     Y = rows[:, n0] @ E.T
     Y[:, :r0.size] += rows[:, r0]
-    waiting, K = _segment_tail(Y.sum(axis=0), 1, lambda X, _: X @ Q.T, sys.maxsize,
+    waiting, K = _segment_tail(Y.sum(axis=0), 1, lambda X, _: X.dot(Q.T), sys.maxsize,
                                lambda rows, k: _first_negligible(rows.sum(axis=1), k, 0, tail_tol))
     top = lo + rows.shape[0]
     out = np.zeros(max(atoms.size, top + K))
     out[: atoms.size] = atoms
     out[lo:top] += rows[:, n0] @ np.maximum(1.0 - E.sum(axis=0), 0.0)
     if K:
-        pmf, _ = _segment_tail(np.maximum(1.0 - Q.sum(axis=0), 0.0), 1, lambda X, _: X @ Q, K - 1)
+        pmf, _ = _segment_tail(np.maximum(1.0 - Q.sum(axis=0), 0.0), 1, lambda X, _: X.dot(Q), K - 1)
         # sum_i convolve(Y[:, i], pmf[:K, i]): pmf[k] . Y[a] summed along k + a
         out[lo + 1 : top + K] += _antidiagonal_sums(pmf[:K] @ Y.T)
     return out, float(waiting[K].sum())
@@ -437,6 +437,11 @@ def _moment_start(chain, initial, target: TargetSet, order: int, steps):
     linear map, as ((L @ M) * r) @ S = L @ M @ (r S), summed in another
     order. Row 0 of J picks row 0 of M S alone, so the stage vector moves
     by the one product U' w.
+
+    One stack takes both products through ndarray.dot: the same BLAS gemm
+    as the @ operator, with the same bits, without @'s dispatch, which at
+    these sizes costs more than the arithmetic. A batch keeps matmul, which
+    dot does not broadcast.
     """
     steps = np.asarray(steps)
     width = steps.shape[-1]
@@ -449,10 +454,12 @@ def _moment_start(chain, initial, target: TargetSet, order: int, steps):
     J[:, 0::2] = np.eye(order + 1)
     J[:, 1::2] = _binomial_shift(order)
     rows = (2 * order + 2, width)
+    batch = (-1, *rows)
 
     def advance(M, k, W=W):
-        P = M @ W[k]
-        return J @ P.reshape(P.shape[:-2] + rows)
+        if M.ndim == 2:
+            return J.dot(M.dot(W[k]).reshape(rows))
+        return J @ (M @ W[k]).reshape(batch)
 
     return M, W, advance
 
@@ -561,6 +568,8 @@ def moment_tables(
     with _overflow_named(order):
         M, _, advance = _moment_start(schedule, initial, target, order, schedule._transposes)
         values = _kept_states(schedule, M, start, advance, order, tail_tol, max_horizon)
+        if not np.isfinite(values[-1]).all():
+            raise FloatingPointError
     values.flags.writeable = False
     return MomentTable(start=int(start), order=order, values=values)
 
@@ -594,13 +603,19 @@ def occupancy_moments(
         acc = M[:, d]
         if tail:
             acc = acc + _closed_moments(M[:, :d], tail[1], target.mask)
+        if not np.isfinite(acc).all():
+            raise FloatingPointError
     return [float(x) for x in acc[1:]]
 
 
 @contextlib.contextmanager
 def _overflow_named(order: int):
     """Turn a float64 overflow in the moment arithmetic, or the invalid
-    operation that follows one, into a ValueError naming the moment order."""
+    operation that follows one, into a ValueError naming the moment order.
+
+    ndarray.dot reports floating-point errors only where numpy trusts its
+    BLAS to flag them, so the engines also raise FloatingPointError
+    themselves on a non-finite result."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
+from stagedwell.chain import _first_negligible, _negligible
 from stagedwell.scenario import RandomSchedule
 from helpers import listed_steps, random_distribution, random_schedule, random_substochastic
 from oracles import periodic_phase_type_pmf, phase_type_pmf
@@ -548,3 +551,22 @@ class TestIntegerRule:
             sw.moment_tables(sched, [1.0], sw.TargetSet(1, frozenset()), order=-1)
         with pytest.raises(ValueError, match=r"^need 0 <= m <= n, got m=3, n=2$"):
             sw.transition_operator(sched, 2, 3.0)
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("t, order", [(0, 0), (9, 4), (2660, 90), (2661, 90), (113, 150), (10**6, 200)])
+    def test_one_mass_is_judged_by_the_scalar_rule(self, t, order):
+        # a segment start hands _first_negligible one mass; it ends the
+        # tail there exactly when _negligible holds, also at NaN, where
+        # (t+1)**order overflows (the last three cases) and one ulp either
+        # side of the rule's edge
+        tol = 1e-12
+        try:
+            edge = tol / float(t + 1) ** order
+        except OverflowError:
+            edge = sys.float_info.min
+        masses = (math.nan, 0.0, 1.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0))
+        held = [_negligible(m, t, order, tol) for m in masses]
+        assert held[:3] == [True, True, False] and True in held[3:] and False in held[3:]
+        for m, rule in zip(masses, held):
+            assert _first_negligible(np.array([m]), t, order, tol) == (0 if rule else None)
