@@ -47,13 +47,14 @@ INDEX_CHUNK = 1024
 
 # A homogeneous tail is evaluated in segments of at least SEGMENT steps (see
 # _segment_tail). Squaring the period operator costs D^3 in the state size
-# D, so lifetime_distribution and moment_tables keep the recurrence for
-# states of more than MAX_SEGMENT_STATES entries, and the closed
-# distribution's visit series takes one-step segments there. Measured with
-# BLAS on one thread (x86_64): at D = 192 a 1829-step lifetime tail took
-# 0.83x and a 3445-step order-3 moment-table tail 0.29x the recurrence's
-# time, at D = 256 1.05x and 0.95x. A short tail pays for the squarings at
-# any D: a 78-step lifetime tail at D = 192 took 7x.
+# D, so the kept-state path (lifetime_distribution, evolve_joint's stage
+# vector, moment_tables) keeps the recurrence for states of more than
+# MAX_SEGMENT_STATES entries, and the closed distribution's visit series
+# takes one-step segments there. Measured with BLAS on one thread
+# (x86_64): at D = 192 a 1829-step lifetime tail took 0.83x and a 3445-step
+# order-3 moment-table tail 0.29x the recurrence's time, at D = 256 1.05x
+# and 0.95x. A short tail pays for the squarings at any D: a 78-step
+# lifetime tail at D = 192 took 7x.
 SEGMENT = 64
 MAX_SEGMENT_STATES = 192
 
@@ -332,7 +333,7 @@ class DiscreteDistribution:
 
     def to_array(self, length: int | None = None) -> np.ndarray:
         """Dense pmf over 0 .. length-1 (default: 0 .. max support)."""
-        length = self.max_support() + 1 if length is None else _integer(length, "length")
+        length = self.max_support() + 1 if length is None else _integer(length, "length", 0)
         out = np.zeros(length)
         for n, p in self.probs.items():
             if n < length:
@@ -340,7 +341,7 @@ class DiscreteDistribution:
         return out
 
     def moment(self, k: int) -> float:
-        k = _integer(k, "k")
+        k = _integer(k, "k", 0)
         return float(sum((n**k) * p for n, p in self.probs.items()))
 
     def mean(self) -> float:
@@ -422,12 +423,12 @@ def _unchecked(mass: float, t: int, order: int, tail_tol: float, rate: float) ->
     return max(int(room / rate), 0)
 
 
-def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=None, order=0, closes=False):
+def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, order=0, closes=False):
     """The one stepping loop of the exact engines; returns (state, tail).
 
-    Step t calls keep(state), if given, and moves on to advance(state, k),
-    the engine's whole step for the matrix k acting at time start + t, read
-    from schedule.indices(start). The first d entries of every state are
+    Step t moves the state on to advance(state, k), the engine's whole step
+    for the matrix k acting at time start + t, read from
+    schedule.indices(start). The first d entries of every state are
     its surviving stage vector. The loop stops before step t once their
     mass times (t+1)**order is below tail_tol (order 0 for the
     distributions; see moment_tables for why moments weight the mass), and
@@ -464,8 +465,6 @@ def _recurrence(schedule, state, start, tail_tol, max_horizon, advance, keep=Non
             stop = max_horizon
         n = min(1 + _unchecked(surviving, t, order, tail_tol, rate), stop - t)
         for k in itertools.islice(indices, n):
-            if keep:
-                keep(state)
             state = advance(state, k)
         t += n
     return state, None
@@ -582,10 +581,16 @@ def _kept_states(schedule, state, start, advance, order, tail_tol, max_horizon) 
     there is closable (see _closing_tail). The rest is evaluated by
     _segment_tail, which applies `advance` to a batch of states (a leading
     axis) with the period's matrix indices, to the same horizon and with
-    the same NonAbsorbingError."""
+    the same NonAbsorbingError. Each state is kept as the loop steps it on,
+    so `advance` must return a new state, not change the one it is given."""
     tail_tol, max_horizon = _check_truncation(tail_tol, max_horizon)
     kept = []
-    final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, advance, kept.append, order,
+
+    def keeping(state, k):
+        kept.append(state)
+        return advance(state, k)
+
+    final, tail = _recurrence(schedule, state, start, tail_tol, max_horizon, keeping, order,
                               state.size <= MAX_SEGMENT_STATES)
     if tail is None:
         return np.array(kept + [final])

@@ -51,7 +51,9 @@ _unit_float = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 _grid_float = _checked(float, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
 
 
-def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, analyzes: bool = True) -> None:
+    """The flags every subcommand takes; --format and --seed only where it
+    analyzes the scenario, which validate does not."""
     parser.add_argument("--scenario", required=True,
                         help=f"scenario JSON file, or {BUILTIN_NAME}")
     parser.add_argument("--target", default=None,
@@ -62,9 +64,9 @@ def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None
                         help="override the truncation tail tolerance")
     parser.add_argument("--max-horizon", type=_pos_int, default=None,
                         help="override the horizon cap")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    if with_seed:
+    if analyzes:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
         parser.add_argument("--seed", type=_nonneg_int, default=0)
 
 
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("env-sweep", cmd_env_sweep, "two-level statistics over a simplex of condition mixes"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, with_seed=func is not cmd_validate)
+        _add_common(p, analyzes=func is not cmd_validate)
         p.set_defaults(func=func)
     sub.choices["moments"].add_argument("--order", type=_pos_int, default=2, help="highest moment order")
     sub.choices["simulate"].add_argument("--samples", type=_pos_int, default=2000, help="number of trajectories")

@@ -21,6 +21,7 @@ without ever forming the full distribution.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -114,12 +115,12 @@ class OccupancyDistribution(DiscreteDistribution):
 
 
 def _occupancy_start(chain, initial, target: TargetSet) -> np.ndarray:
-    """Validated initial distribution as the one-row table p(0, start): every
-    engine's input check, on any chain with a stage count `d`."""
+    """Validated initial distribution p(0, start): every engine's input
+    check, on any chain with a stage count `d`."""
     v = validate_distribution(initial, chain.d)
     if target.d != chain.d:
         raise ValueError(f"target set is over {target.d} stages, the chain over {chain.d}")
-    return v[np.newaxis, :]
+    return v
 
 
 def _target_first(schedule: Schedule, initial, target: TargetSet):
@@ -141,36 +142,31 @@ def _target_first(schedule: Schedule, initial, target: TargetSet):
 
     step(band, k) applies matrix k's bordered step [[U', b], [0, 1]] (see
     _absorbing_step) as two products by its column blocks, split at
-    n_target, both written into a spare buffer: the target block one row
-    down, which counts the next step for the mass it moves into the target
-    stages, and the block of the other columns and the absorbed column in
-    the same rows. Row 0's target part then moves back up, and the new
-    last row's other columns are zeroed. The band and the spare buffer
-    trade places at each step, and a buffer too small for the next table is
-    replaced by one of twice its rows, so a band `step` returns is written
-    over two steps on.
+    n_target, both written into a new table one row longer than `band`:
+    the target block one row down, which counts the next step for the mass
+    it moves into the target stages, and the block of the other columns and
+    the absorbed column in the same rows. Row 0's target part then moves
+    back up, and the new last row's other columns are zeroed. The step
+    keeps nothing between calls and leaves `band` as it was.
     """
-    v = _occupancy_start(schedule, initial, target)[0]
+    v = _occupancy_start(schedule, initial, target)
     order = np.argsort(target.mask == 0, kind="stable")
     v, schedule, n_target, d = v[order], schedule._permuted(order), len(target.members), schedule.d
     blocks = [(S[:, :n_target].copy(), S[:, n_target:].copy())
               for S in map(_absorbing_step, schedule.matrices, schedule._absorptions)]
     band = np.zeros((3, d + 1))
     band[0, :d], band[1, n_target:d], band[2, :n_target] = v, v[n_target:], v[:n_target]
-    current, spare = band, np.empty((0, d + 1))
 
     def step(band, k):
-        nonlocal current, spare
         n = band.shape[0]
-        out = spare if spare.shape[0] > n else np.empty((2 * n, d + 1))
+        out = np.empty((n + 1, d + 1))
         moved, kept = blocks[k]
-        np.matmul(band, moved, out=out[1 : n + 1, :n_target])
+        np.matmul(band, moved, out=out[1:, :n_target])
         np.matmul(band, kept, out=out[:n, n_target:])
         out[0, :n_target] = out[1, :n_target]
         out[1, :n_target] = 0.0
         out[n, n_target:] = 0.0
-        current, spare = out, current
-        return out[: n + 1]
+        return out
 
     return schedule, band, order, step
 
@@ -228,7 +224,7 @@ class JointOccupancyTable:
     def moment_vector(self, k: int, n: int) -> np.ndarray:
         """Per-stage k-th occupancy moments sum_a a^k p(a, n)."""
         rows = self.values[self._elapsed(n)]
-        weights = np.arange(rows.shape[0], dtype=float) ** _integer(k, "k")
+        weights = np.arange(rows.shape[0], dtype=float) ** _integer(k, "k", 0)
         return weights @ rows
 
 
@@ -246,24 +242,18 @@ def evolve_joint(
     below-tolerance table is included); raises NonAbsorbingError if that has
     not happened within max_horizon steps. A chain that never absorbs would
     keep about max_horizon**2 / 2 rows before that, so the stage vector,
-    row 0 of the table, is stepped first, in O(d) memory, to raise there
-    instead. That pass also reads the closing step and records the matrix
-    of each step, and the tables then take those steps (see _target_first
-    for their step and layout), un-lifted as they are kept.
+    row 0 of the table, first takes the lifetime path (chain._kept_states),
+    in O(d) memory a step, to raise there instead. The number of its states
+    less one is the horizon, and the tables then take that many steps from
+    `start` (see _target_first for their step and layout), un-lifted as
+    they are kept.
     """
     schedule, band, order, step = _target_first(schedule, initial, target)
-    ks = []
-
-    def advance(x, k):
-        ks.append(k)
-        return x.dot(schedule._transposes[k])
-
-    _recurrence(schedule, band[0, :-1], start, tail_tol, max_horizon, advance)
+    states = _kept_states(schedule, band[0, :-1], start, lambda w, k: w.dot(schedule._transposes[k]), 0, tail_tol,
+                          max_horizon)
     back, n_target = np.argsort(order), len(target.members)
-    tables = [_unlifted(band, n_target)[:, back]]
-    for k in ks:
-        band = step(band, k)
-        tables.append(_unlifted(band, n_target)[:, back])
+    ks = itertools.islice(schedule.indices(start), len(states) - 1)
+    tables = [_unlifted(lifted, n_target)[:, back] for lifted in itertools.accumulate(ks, step, initial=band)]
     for table in tables:
         table.flags.writeable = False
     return JointOccupancyTable(start=int(start), values=tuple(tables))
@@ -446,7 +436,7 @@ def _moment_start(chain, initial, target: TargetSet, order: int, steps):
     steps = np.asarray(steps)
     width = steps.shape[-1]
     M = np.zeros((order + 1, width))
-    M[0, : chain.d] = _occupancy_start(chain, initial, target)[0]
+    M[0, : chain.d] = _occupancy_start(chain, initial, target)
     r = np.zeros(width)
     r[: chain.d] = target.mask
     W = np.concatenate((steps, r[:, np.newaxis] * steps), axis=-1)

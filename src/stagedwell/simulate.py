@@ -56,7 +56,7 @@ def _prepare(schedule: Schedule, initial, target: TargetSet):
     advances both counts; inc[d] is 0. vcum is the cumulative initial
     distribution.
     """
-    v = _occupancy_start(schedule, initial, target)[0]
+    v = _occupancy_start(schedule, initial, target)
     d = schedule.d
     thresholds = np.full((len(schedule.matrices), d + 1, d + 1), np.inf)
     thresholds[:, :d, :d] = np.cumsum(np.stack(schedule.matrices), axis=1).transpose(0, 2, 1)

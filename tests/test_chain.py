@@ -477,10 +477,13 @@ def _integer_rule_cases():
         "contains": (lambda: 1.5 in target, "index 1.5 is not an integer"),
         "pmf": (lambda: dist.pmf(1.5), "n 1.5 is not an integer"),
         "to_array": (lambda: dist.to_array(2.5), "length 2.5 is not an integer"),
+        "to_array-negative": (lambda: dist.to_array(-1), "length must be nonnegative, got -1"),
         "moment": (lambda: dist.moment(1.5), "k 1.5 is not an integer"),
+        "moment-negative": (lambda: dist.moment(-1), "k must be nonnegative, got -1"),
         "joint": (lambda: joint.joint(0.5, 1), "a 0.5 is not an integer"),
         "mass": (lambda: joint.mass(1.5), "n 1.5 is not an integer"),
         "moment_vector": (lambda: joint.moment_vector(1.5, 1), "k 1.5 is not an integer"),
+        "moment_vector-negative": (lambda: joint.moment_vector(-1, 1), "k must be nonnegative, got -1"),
         "vector": (lambda: table.vector(1, 0.5), "n 0.5 is not an integer"),
         "vector-k": (lambda: table.vector(np.float64(1.5), 0), "k 1.5 is not an integer"),
         "scenario-start": (lambda: dataclasses.replace(sw.builtin_fulmar_scenario(), start=2.5),

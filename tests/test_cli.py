@@ -146,6 +146,13 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_validate_takes_no_format(self, capsys, geometric_path):
+        # validate writes one text report; --format is not among its flags
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--scenario", geometric_path, "--format", "json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_unknown_target_label(self, capsys, geometric_path):
         code, _, err = run(capsys, ["occupancy", "--scenario", geometric_path,
                                     "--target", "bogus"])
@@ -575,7 +582,9 @@ def scenario_texts(draw):
 def test_fuzzed_scenarios_exit_cleanly(tmp_path_factory, text, command, order, fmt):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     path.write_text(text)
-    argv = [command, "--scenario", str(path), "--max-horizon", "200", "--format", fmt]
+    argv = [command, "--scenario", str(path), "--max-horizon", "200"]
+    if command != "validate":
+        argv += ["--format", fmt]
     if command == "moments":
         argv += ["--order", str(order)]
     out, err = io.StringIO(), io.StringIO()

@@ -138,8 +138,8 @@ class TestEvolveJoint:
         assert peak < 10 * 2**20
 
     def test_reads_the_closing_step_once(self):
-        # the stage vector's pass reads the tail and counts the steps; the
-        # tables are then stepped that many times without another check
+        # the stage vector's lifetime path reads the tail and gives the
+        # horizon; the tables are then stepped that far without another check
         data = sw.builtin_fulmar()
         target = sw.TargetSet.from_labels(data.states, ("successful breeder", "failed breeder"))
         with mock.patch.object(sw.chain, "_closing_tail", wraps=sw.chain._closing_tail) as closing:
@@ -605,6 +605,20 @@ def _joint_atoms(schedule, v, target, **kw):
 class TestBand:
     """occupancy_distribution steps only the rows of its table that carry
     mass; the reference is evolve_joint, which keeps every row."""
+
+    def test_a_step_leaves_every_earlier_table_as_it_was(self):
+        # the band step writes a new table and keeps nothing between calls,
+        # so no later step writes over a table that an earlier one returned
+        sched = sw.Schedule.constant([[0.5, 0.1], [0.3, 0.6]])
+        _, band, _, step = sw.occupancy._target_first(sched, [0.6, 0.4], sw.TargetSet(2, frozenset({1})))
+        tables = [band]
+        for _ in range(6):
+            tables.append(step(tables[-1], 0))
+        copies = [table.copy() for table in tables]
+        for _ in range(6):
+            tables.append(step(tables[-1], 0))
+        for table, copy in zip(tables, copies):
+            assert np.array_equal(table, copy)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 60), st.integers(0, 25),
