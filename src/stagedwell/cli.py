@@ -1,10 +1,13 @@
 """Command line driver.
 
-Subcommands take a scenario file (or the literal name builtin:fulmar),
-optional overrides, and write one result table to stdout or --out. All
-diagnostics go to stderr; exit status is 0 on success, 1 for any model or
-I/O error, 2 for usage errors. Every subcommand is deterministic given the
-scenario file, the flags and the seed.
+Every subcommand takes a scenario file (or the literal name
+builtin:fulmar) and optional overrides. main loads the scenario once,
+applies the overrides and hands it to the subcommand, which only computes:
+it returns its result and metadata, and main writes them as one table to
+stdout or --out (validate writes its own text report). All diagnostics go
+to stderr; exit status is 0 on success, 1 for any model or I/O error, 2
+for usage errors. Every subcommand is deterministic given the scenario
+file, the flags and the seed.
 """
 
 from __future__ import annotations
@@ -90,24 +93,22 @@ def _load_config(args) -> tuple[ScenarioConfig, dict]:
     return config, dict(start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon)
 
 
-def _prologue(args):
-    """_load_config's scenario, its schedule (a random scenario's is one
-    sampled realization, noted on stderr) and truncation keywords."""
-    config, truncation = _load_config(args)
+def _realize(args, config):
+    """config's schedule: a random scenario's is one sampled realization,
+    noted on stderr."""
     rng = np.random.default_rng((int(args.seed),)) if config.is_random() else None
     schedule = config.build_schedule(rng)
     if rng is not None:
         print(f"note: random schedule, analyzing one sampled realization of {schedule.prefix_length} steps "
               f"(seed {args.seed}); a life that outlives it holds the last drawn condition", file=sys.stderr)
-    return config, schedule, truncation
+    return schedule
 
 
 def _fmt_vector(v) -> str:
     return "[" + ", ".join(format_number(float(x)) for x in v) + "]"
 
 
-def cmd_validate(args) -> int:
-    config, _ = _load_config(args)
+def cmd_validate(args, config, truncation) -> None:
     lines = [
         f"scenario OK: {config.states.d} stages, {len(config.matrices)} matrices, "
         f"schedule kind {_schedule_json(config.schedule_spec)['kind']}",
@@ -121,36 +122,27 @@ def cmd_validate(args) -> int:
     lines.append(f"start {config.start}, tail_tol {format_number(config.tail_tol)}, "
                  f"max_horizon {config.max_horizon}")
     _write_text("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def cmd_lifetime(args) -> int:
-    config, schedule, truncation = _prologue(args)
-    export_results(lifetime_distribution(schedule, config.initial, **truncation), args.format, args.out)
-    return 0
+def cmd_lifetime(args, config, truncation):
+    return lifetime_distribution(_realize(args, config), config.initial, **truncation), ()
 
 
-def cmd_occupancy(args) -> int:
-    config, schedule, truncation = _prologue(args)
-    dist = occupancy_distribution(schedule, config.initial, config.target_set(), **truncation)
-    export_results(dist, args.format, args.out)
-    return 0
+def cmd_occupancy(args, config, truncation):
+    return occupancy_distribution(_realize(args, config), config.initial, config.target_set(), **truncation), ()
 
 
-def cmd_moments(args) -> int:
-    config, schedule, truncation = _prologue(args)
+def cmd_moments(args, config, truncation):
+    schedule = _realize(args, config)
     moments = occupancy_moments(schedule, config.initial, config.target_set(), order=args.order, **truncation)
-    metadata = []
-    if args.order >= 2:
-        stats = summary_stats(moments[0], moments[1])
-        metadata = [("mean", stats.mean), ("variance", stats.variance), ("cv", stats.cv)]
-    export_results(moments, args.format, args.out, metadata=metadata)
-    return 0
+    if args.order < 2:
+        return moments, ()
+    stats = summary_stats(moments[0], moments[1])
+    return moments, [("mean", stats.mean), ("variance", stats.variance), ("cv", stats.cv)]
 
 
-def cmd_simulate(args) -> int:
-    config, schedule, truncation = _prologue(args)
-    target = config.target_set()
+def cmd_simulate(args, config, truncation):
+    schedule, target = _realize(args, config), config.target_set()
     # the analytic run first: a chain that never absorbs fails at its own
     # max_horizon instead of simulating up to the simulator's step cap
     analytic = occupancy_distribution(schedule, config.initial, target, **truncation)
@@ -159,27 +151,22 @@ def cmd_simulate(args) -> int:
         n_samples=args.samples, seed=args.seed, start=config.start,
         step_cap=config.max_horizon,
     )
-    tv = total_variation(analytic, summary.occupancy_counts, summary.n_samples)
     err = abs(summary.mean - analytic.mean())
-    metadata = [
-        ("tv_distance", tv),
+    return summary, [
+        ("tv_distance", total_variation(analytic, summary.occupancy_counts, summary.n_samples)),
         ("analytic_mean", analytic.mean()),
         ("mean_abs_error", err),
         ("mean_error_std_errors", err / summary.std_error if summary.std_error > 0 else float("nan")),
     ]
-    export_results(summary, args.format, args.out, metadata=metadata)
-    return 0
 
 
-def cmd_env_sweep(args) -> int:
-    config, truncation = _load_config(args)
+def cmd_env_sweep(args, config, truncation):
     # a random scenario's schedule.length bounds every sampled sequence
     length = config.schedule_spec.length if config.is_random() else None
     points = simplex_sweep(
         config.conditions(), args.grid_step, config.initial, config.target_set(),
         n_sequences=args.samples, seed=args.seed, sample_length=length, **truncation,
     )
-    drawn = config.max_horizon if length is None else length
     for pt in points:
         where = _fmt_vector(pt.probabilities)
         if pt.error is not None:
@@ -187,11 +174,10 @@ def cmd_env_sweep(args) -> int:
         elif pt.stats.held_last:
             print(
                 f"warning: grid point {where}: {pt.stats.held_last} of {pt.stats.n_sequences} "
-                f"sequences outlived the drawn length {drawn} and held their last condition",
+                f"sequences outlived the drawn length {length or config.max_horizon} and held their last condition",
                 file=sys.stderr,
             )
-    export_results(points, args.format, args.out)
-    return 0
+    return points, ()
 
 
 @functools.cache
@@ -227,7 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config, truncation = _load_config(args)
+        computed = args.func(args, config, truncation)
+        if computed is not None:  # validate writes its own report
+            result, metadata = computed
+            export_results(result, args.format, args.out, metadata=metadata)
+        return 0
     except (StagedwellError, ValueError, OSError) as exc:
         # one line, whatever line breaks the message quotes from the input
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")

@@ -220,6 +220,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    except (RecursionError, ValueError) as exc:  # nested too deeply; an integer past int's digit limit
+        raise ScenarioParseError("$", str(exc)) from None
     if not isinstance(raw, dict):
         raise ScenarioParseError("$", "top level must be a JSON object")
     _known_keys(raw, _TOP_LEVEL_KEYS, "$")

@@ -537,6 +537,21 @@ def test_json_writes_null_for_undefined_values(capsys, argv, fields):
     assert values and all(x is None for x in values)
 
 
+@pytest.mark.parametrize("argv", [
+    ["lifetime"], ["occupancy"], ["moments"], ["simulate", "--samples", "20"],
+    ["env-sweep", "--grid-step", "0.5", "--samples", "2"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
+    # main writes every subcommand's result, so a failed write reports alike
+    out_path = tmp_path / "missing" / "result.csv"
+    code, out, err = run(capsys, argv + ["--scenario", str(SCENARIOS / "fulmar_random_environment.json"),
+                                         "--out", str(out_path)])
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: FileNotFoundError: ")
+    assert not out_path.parent.exists()
+
+
 # Scenario documents the fuzz test mutates: the two above and the shipped
 # files, which between them use every schedule kind.
 FUZZ_BASES = [json.loads(GEOMETRIC), json.loads(RANDOM_ENV)] + [
@@ -577,7 +592,8 @@ def scenario_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(scenario_texts(), st.sampled_from(["validate", "lifetime", "occupancy", "moments"]),
+@given(scenario_texts(),
+       st.sampled_from(["validate", "lifetime", "occupancy", "moments", "simulate", "env-sweep"]),
        st.integers(1, 300), st.sampled_from(["csv", "json"]))
 def test_fuzzed_scenarios_exit_cleanly(tmp_path_factory, text, command, order, fmt):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
@@ -585,8 +601,8 @@ def test_fuzzed_scenarios_exit_cleanly(tmp_path_factory, text, command, order, f
     argv = [command, "--scenario", str(path), "--max-horizon", "200"]
     if command != "validate":
         argv += ["--format", fmt]
-    if command == "moments":
-        argv += ["--order", str(order)]
+    argv += {"moments": ["--order", str(order)], "simulate": ["--samples", "20"],
+             "env-sweep": ["--grid-step", "0.5", "--samples", "2"]}.get(command, [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

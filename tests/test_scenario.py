@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,19 @@ class TestParseScenario:
         with pytest.raises(sw.ScenarioParseError) as info:
             sw.parse_scenario("{not json")
         assert "line 1" in str(info.value)
+
+    def test_json_nested_past_the_recursion_limit(self):
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario("[" * 100000 + "]" * 100000)
+        assert info.value.location == "$"
+
+    def test_integer_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python converts integer strings of any length")
+        with pytest.raises(sw.ScenarioParseError) as info:
+            sw.parse_scenario('{"start": ' + "9" * (limit + 1) + "}")
+        assert info.value.location == "$"
 
     def test_missing_field(self):
         doc = dict(MINIMAL)
