@@ -207,10 +207,9 @@ class Schedule:
         if seq.ndim != 1 or seq.size == 0:
             raise ValueError("sequence must be a non-empty 1-d list of matrix indices")
         if seq.min() < 0 or seq.max() >= len(mats):
-            raise ValueError(
-                f"sequence refers to matrix {int(seq.max())} but only "
-                f"{len(mats)} matrices are defined"
-            )
+            i = np.flatnonzero((seq < 0) | (seq >= len(mats)))[0]
+            raise ValueError(f"sequence entry {seq[i]} at position {i} is outside "
+                             f"the matrix indices 0..{len(mats) - 1}")
         if self.extension not in EXTENSIONS:
             raise ValueError(f"extension must be one of {EXTENSIONS}, got {self.extension!r}")
         seq.flags.writeable = False

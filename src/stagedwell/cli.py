@@ -219,8 +219,10 @@ def main(argv=None) -> int:
             result, metadata = computed
             export_results(result, args.format, args.out, metadata=metadata)
         return 0
-    except (StagedwellError, ValueError, OSError) as exc:
-        # one line, whatever line breaks the message quotes from the input
+    except (StagedwellError, ValueError, OSError, MemoryError) as exc:
+        # one line, whatever line breaks the message quotes from the input;
+        # a MemoryError is an allocation past what the process can address,
+        # such as a random realization of an enormous --max-horizon
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

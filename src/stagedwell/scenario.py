@@ -48,7 +48,6 @@ from .chain import (
     validate_distribution,
     validate_matrix,
 )
-from .datasets import FULMAR_BREEDING_STATES, FULMAR_MATRICES, FULMAR_STATES
 from .errors import (
     InvalidDistributionError,
     MatrixValidationError,
@@ -213,8 +212,10 @@ def _count(value, loc: str, least: int) -> int:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document from a JSON string.
 
-    Any problem raises a ScenarioError subclass naming the first offending
-    field (locations are dotted key paths, 0-based where indexed).
+    A problem raises a ScenarioError subclass naming the first offending
+    field (locations are dotted key paths, 0-based where indexed), except
+    that a bad `initial`, and random-schedule weights that do not sum to 1,
+    raise InvalidDistributionError, which is not a ScenarioError.
     """
     try:
         raw = json.loads(text)
@@ -344,16 +345,40 @@ def _schedule_json(spec: ExplicitSchedule | RandomSchedule) -> dict:
 def builtin_fulmar() -> ScenarioConfig:
     """Southern Fulmar under constant favourable conditions.
 
-    The matrices U_f, U_o and U_u, validated, in that order; one pre-breeder
-    recruited at time 0; target set = breeding stages, so the occupancy
-    total is the lifetime number of breeding attempts.
+    Four stages (pre-breeder, successful breeder, failed breeder,
+    non-breeder) with one transition matrix per sea-ice condition, after the
+    published rates of Jenouvrier, Peron and Weimerskirch (2015): U_f
+    (favourable), U_o (ordinary) and U_u (unfavourable), validated, in that
+    order. Columns hold the outgoing probabilities of a stage; the deficit
+    of each column from 1 is that stage's yearly mortality. One pre-breeder
+    recruited at time 0; target set = breeders of either outcome, so the
+    occupancy total is the lifetime number of breeding attempts.
     """
+    matrices = {
+        "U_f": ((0.828, 0.0, 0.0, 0.0),
+                (0.06624, 0.72912, 0.62244, 0.40176),
+                (0.02576, 0.18228, 0.24206, 0.15624),
+                (0.0, 0.0186, 0.0455, 0.342)),
+        "U_o": ((0.9016, 0.0, 0.0, 0.0),
+                (0.011408, 0.66737, 0.49312, 0.1809),
+                (0.006992, 0.18823, 0.24288, 0.0891),
+                (0.0, 0.0744, 0.184, 0.63)),
+        "U_u": ((0.9154, 0.0, 0.0, 0.0),
+                (0.002392, 0.4873, 0.25147, 0.0468),
+                (0.002208, 0.1895, 0.23213, 0.0432),
+                (0.0, 0.2632, 0.4464, 0.81)),
+    }
     return ScenarioConfig(
-        states=StateSpace(FULMAR_STATES),
-        matrices={name: validate_matrix(m) for name, m in FULMAR_MATRICES.items()},
+        states=StateSpace((
+            "pre-breeder",
+            "successful breeder",
+            "failed breeder",
+            "non-breeder",
+        )),
+        matrices={name: validate_matrix(m) for name, m in matrices.items()},
         schedule_spec=ExplicitSchedule(("U_f",)),
         initial=(1.0, 0.0, 0.0, 0.0),
-        target_labels=FULMAR_BREEDING_STATES,
+        target_labels=("successful breeder", "failed breeder"),
     )
 
 

@@ -148,9 +148,13 @@ class TestSchedule:
         assert info.value.time_index == 2
         assert info.value.prefix_length == 2
 
-    def test_rejects_bad_sequence_index(self):
-        with pytest.raises(ValueError):
-            sw.Schedule.explicit([[[0.5]]], [0, 1])
+    @pytest.mark.parametrize("sequence, entry, position",
+                             [([0, 1], 1, 1), ([-1, 0], -1, 0), ([0, -2], -2, 1), ([0, 5], 5, 1)])
+    def test_rejects_bad_sequence_index(self, sequence, entry, position):
+        # the message names the first entry out of range, negative ones too
+        with pytest.raises(ValueError) as info:
+            sw.Schedule.explicit([[[0.5]]], sequence)
+        assert str(info.value) == f"sequence entry {entry} at position {position} is outside the matrix indices 0..0"
 
     def test_rejects_unknown_extension(self):
         with pytest.raises(ValueError):

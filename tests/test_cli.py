@@ -552,6 +552,21 @@ def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
     assert not out_path.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["lifetime", "occupancy", "moments", "simulate"])
+def test_unallocatable_realization_is_one_error_line(capsys, tmp_path, command):
+    # without a length the realization draws max_horizon indices up front;
+    # 10**15 of them (7.11 PiB) is more than a process can address, so the
+    # allocation fails at once without touching memory
+    doc = json.loads((SCENARIOS / "fulmar_random_environment.json").read_text())
+    del doc["schedule"]["length"]
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [command, "--scenario", str(path), "--max-horizon", str(10**15)])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "MemoryError" in err
+
+
 # Scenario documents the fuzz test mutates: the two above and the shipped
 # files, which between them use every schedule kind.
 FUZZ_BASES = [json.loads(GEOMETRIC), json.loads(RANDOM_ENV)] + [
