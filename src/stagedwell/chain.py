@@ -42,7 +42,7 @@ EXTENSIONS = ("hold_last", "cycle", "error")
 # log of the least mass _unchecked lets unchecked steps reach
 _LOG_TINY = math.log(sys.float_info.min / sys.float_info.epsilon)
 
-# Prefix entries Schedule.indices converts to Python ints at a time.
+# Sequence entries Schedule.indices converts to Python ints at a time.
 INDEX_CHUNK = 1024
 
 # A homogeneous tail is evaluated in segments of at least SEGMENT steps (see
@@ -259,12 +259,16 @@ class Schedule:
         index_at raises at the first step it cannot serve, when that step is
         drawn: ValueError for a negative start, ScheduleExhaustedError past
         the end of an "error" schedule. Stepping loops read it instead of
-        calling index_at once per step.
+        calling index_at once per step. The sequence is converted to Python
+        ints INDEX_CHUNK entries at a time, as they are reached; a cycle
+        converts its first pass so, from start % prefix_length on, and
+        replays it from the ints it kept.
         """
         start = _integer(start, "start", 0, "time index must be nonnegative, got {}")
         seq, length = self.sequence, self.sequence.size
         if self.extension == "cycle":
-            yield from itertools.cycle(np.roll(seq, -(start % length)).tolist())
+            yield from itertools.cycle(itertools.chain.from_iterable(seq[i : min(i + INDEX_CHUNK, hi)].tolist()
+                for lo, hi in ((start % length, length), (0, start % length)) for i in range(lo, hi, INDEX_CHUNK)))
         for lo in range(start, length, INDEX_CHUNK):
             yield from seq[lo : lo + INDEX_CHUNK].tolist()
         if self.extension == "hold_last":
@@ -482,10 +486,16 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     largest column sum of a power of Pi bounds the mass left after that
     many periods, and the squaring stops once the bound passes the rule at
     max_horizon, before the entries reach float64's subnormal range, where a
-    squaring is a hundred times slower. A mass of tail_tol or more at
-    max_horizon passes the rule at no earlier step, since the mass never
-    rises. A smaller one may, if a moment order's weighted mass fell below
-    tail_tol and rose again, so the steps are then followed one at a time.
+    squaring is a hundred times slower. Each power read also bounds the
+    mass at max_horizon by its column-sum bound raised to the number q of
+    its applications still ahead, rounded up first by the margin below for
+    the rounding of the squarings it stands for, and the smaller bound is
+    taken; so a period that contracts is decided at its first read, and the
+    squarings run only where a column of Pi sums to about 1. A mass of
+    tail_tol or more at max_horizon passes the rule at no earlier step,
+    since the mass never rises. A smaller one may, if a moment order's
+    weighted mass fell below tail_tol and rose again, so the steps are then
+    followed one at a time.
 
     closable says that I - Pi can be inverted, as the closed tails need: one
     of the powers read has every column sum below 1 less the rounding
@@ -500,9 +510,9 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     q, rest = divmod(max_horizon - t0, p)
     power, steps, y, closable = period[2], p, x, False
     while q:
-        bound = float(power.sum(axis=0).max())
-        closable = closable or bound < 1.0 - 4 * (x.size + 1) * steps * sys.float_info.epsilon
-        if bound <= 1.0 and _negligible(float(y.sum()) * bound, max_horizon, order, tail_tol):
+        bound, margin = float(power.sum(axis=0).max()), 4 * (x.size + 1) * steps * sys.float_info.epsilon
+        closable, ahead = closable or bound < 1.0 - margin, min(bound, min(bound + margin, 1.0) ** min(q, sys.maxsize))
+        if bound <= 1.0 and _negligible(float(y.sum()) * ahead, max_horizon, order, tail_tol):
             return t0, period, closable
         if q & 1:
             y = power @ y

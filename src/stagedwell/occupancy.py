@@ -21,6 +21,7 @@ without ever forming the full distribution.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import sys
@@ -393,12 +394,16 @@ def occupancy_distribution(
     return OccupancyDistribution(dict(zip(nonzero.tolist(), atoms[nonzero].tolist())), tail_mass=tail_mass + cut)
 
 
+@functools.lru_cache(maxsize=2)
 def _binomial_shift(order: int) -> np.ndarray:
     """Strictly lower-triangular matrix with L[k, i] = C(k, i), i < k.
 
     Rows are built by Pascal's rule, C(k, i) = C(k-1, i) + C(k-1, i-1), in
     float64: exact up to order 57, where the weights pass 2**53, and within
     2e-15 relative of math.comb up to the largest order allowed, 1029.
+    The last two orders asked for are kept, read-only, so that a moment
+    engine builds its table once (its step and a closed tail both read it);
+    at order 1029 one table holds 8.5 MB.
     """
     if math.comb(order, order // 2) > sys.float_info.max:
         raise ValueError(f"binomial weights of order {order} overflow float64")
@@ -406,7 +411,9 @@ def _binomial_shift(order: int) -> np.ndarray:
     pascal[:, 0] = 1.0
     for k in range(1, order + 1):
         pascal[k, 1 : k + 1] = pascal[k - 1, 1 : k + 1] + pascal[k - 1, :k]
-    return np.tril(pascal, -1)
+    shift = np.tril(pascal, -1)
+    shift.flags.writeable = False
+    return shift
 
 
 def _moment_start(chain, initial, target: TargetSet, order: int, steps):
@@ -489,7 +496,7 @@ def _closed_moments(M, period, r):
     ahead = np.zeros((order + 1, p, d))   # ahead[k, m]: H_m' u_k(phase m + 1)
     u[0] = 1.0
     for k in range(1, order + 1):
-        c = r * (1.0 + np.tensordot(pascal[k, 1:k], ahead[1:k], axes=1))
+        c = r * (1.0 + pascal[k, 1:k].dot(ahead[1:k].reshape(k - 1, p * d)).reshape(p, d))
         carried = c[p - 1]
         for m in range(p - 2, -1, -1):
             carried = c[m] + matrices[m].T @ carried

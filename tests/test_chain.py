@@ -1,16 +1,19 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
 from stagedwell.chain import _first_negligible, _negligible
 from stagedwell.scenario import RandomSchedule
-from helpers import listed_steps, random_distribution, random_schedule, random_substochastic
+from helpers import (listed_steps, never_entered_blocks, random_distribution, random_schedule,
+                     random_substochastic, squared_closing_tail)
 from oracles import periodic_phase_type_pmf, phase_type_pmf
 
 U_F = (
@@ -198,11 +201,16 @@ class TestSchedule:
             assert s.sequence.tolist() == [0, 1]
 
     @pytest.mark.parametrize("extension", ["hold_last", "cycle", "error"])
-    @pytest.mark.parametrize("start", [0, 2, 3, 6, 7, 20])
-    def test_indices_follow_index_at(self, extension, start):
-        s = sw.Schedule.explicit([[[0.2]], [[0.7]], [[0.5]]], [2, 0, 1], extension)
+    @pytest.mark.parametrize("start", [0, 2, 3, 6, 7, 20, 2 * sw.chain.INDEX_CHUNK + 15])
+    @pytest.mark.parametrize("length", [3, sw.chain.INDEX_CHUNK + 6])
+    def test_indices_follow_index_at(self, extension, start, length):
+        # a cycle is followed through its first pass, across a chunk
+        # boundary when it is longer than a chunk, and on into its replay,
+        # from a start inside the first period and from one past it
+        sequence = [2, 0, 1] if length == 3 else np.random.default_rng(length).integers(0, 3, length)
+        s = sw.Schedule.explicit([[[0.2]], [[0.7]], [[0.5]]], sequence, extension)
         expected = []
-        for n in range(start, start + 12):
+        for n in range(start, start + 2 * length + 12):
             try:
                 expected.append(s.index_at(n))
             except sw.ScheduleExhaustedError:
@@ -213,7 +221,7 @@ class TestSchedule:
             with pytest.raises(sw.ScheduleExhaustedError) as drawn:
                 next(stream)
             with pytest.raises(sw.ScheduleExhaustedError) as direct:
-                s.index_at(max(start, 3))
+                s.index_at(max(start, length))
             assert str(drawn.value) == str(direct.value)
 
     def test_indices_reject_a_negative_start_when_drawn(self):
@@ -221,11 +229,25 @@ class TestSchedule:
         with pytest.raises(ValueError, match="nonnegative"):
             next(stream)
 
-    def test_indices_cross_chunk_boundaries(self):
+    @pytest.mark.parametrize("extension, start", [("hold_last", 1000), ("cycle", 1000), ("cycle", 3 * 2500 + 1000)])
+    def test_indices_cross_chunk_boundaries(self, extension, start):
+        # 2500 entries, not a multiple of INDEX_CHUNK; a cycle wraps at 2500
+        # and then replays its first pass
         rng = np.random.default_rng(2)
-        s = sw.Schedule.explicit([[[0.2]], [[0.7]]], rng.integers(0, 2, 2500))
-        stream = s.indices(1000)
-        assert [next(stream) for _ in range(1600)] == [s.index_at(n) for n in range(1000, 2600)]
+        s = sw.Schedule.explicit([[[0.2]], [[0.7]]], rng.integers(0, 2, 2500), extension)
+        stream = s.indices(start)
+        assert [next(stream) for _ in range(5600)] == [s.index_at(n) for n in range(start, start + 5600)]
+
+    def test_a_long_cycle_converts_only_what_is_read(self):
+        s = sw.Schedule.periodic([[[0.2]], [[0.7]]], np.random.default_rng(3).integers(0, 2, 10**6))
+        tracemalloc.start()
+        try:
+            first = next(s.indices(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == s.index_at(5)
+        assert peak < 2**20
 
     def test_validates_matrices_on_construction(self):
         with pytest.raises(sw.ColumnSumError):
@@ -577,3 +599,107 @@ class TestStoppingRule:
         assert held[:3] == [True, True, False] and True in held[3:] and False in held[3:]
         for m, rule in zip(masses, held):
             assert _first_negligible(np.array([m]), t, order, tol) == (0 if rule else None)
+
+
+def _decided(check, schedule, start, x, order, tail_tol, max_horizon):
+    """What a closing-step check decides where `schedule` turns homogeneous
+    after `start`: the tail's first step, phases, closability and period
+    product, or the NonAbsorbingError's horizon and surviving mass."""
+    t0 = schedule.prefix_length if schedule.extension == "cycle" else max(schedule.prefix_length - 1 - start, 0)
+    try:
+        t0, (ks, _, product), closable = check(schedule, start, t0, x, order, tail_tol, max_horizon)
+    except sw.NonAbsorbingError as exc:
+        return "raised", exc.horizon, exc.surviving_mass
+    except OverflowError as exc:   # past 2**1000 squarings, a tail that no read shows closable
+        return "overflow", str(exc)
+    return t0, ks, closable, product.tobytes()
+
+
+class TestClosingCheck:
+    """chain._closing_tail decides as the loop that squared the period
+    product until the first power's bound alone passed the rule
+    (helpers.squared_closing_tail), and a contracting period at its first
+    read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5),
+           st.sampled_from(["hold_last", "cycle"]), st.integers(0, 8),
+           st.sampled_from(["none", "sums to 1", "immortal", "never entered"]), st.integers(0, 90),
+           st.integers(0, 14), st.sampled_from([1e-12, 1e-6, 0.5]),
+           st.sampled_from([1, 2, 7, 60, 2000, sw.DEFAULT_MAX_HORIZON, 10**400]))
+    @example(0, 2, 1, 1, "hold_last", 0, "none", 0, 0, 1e-12, 1)
+    @example(0, 2, 1, 1, "hold_last", 0, "none", 90, 0, 1e-12, 10**400)
+    @example(0, 2, 2, 3, "cycle", 5, "sums to 1", 3, 0, 1e-12, 10**400)
+    @example(0, 2, 1, 1, "hold_last", 0, "immortal", 0, 0, 1e-12, 1)
+    @example(0, 1, 1, 1, "hold_last", 0, "never entered", 4, 0, 1e-12, 10**400)
+    @example(0, 2, 1, 1, "hold_last", 0, "never entered", 0, 0, 1e-12, 10**400)
+    @example(1, 1, 1, 1, "cycle", 0, "never entered", 0, 3, 1e-6, 60)
+    @example(2, 1, 1, 1, "hold_last", 2, "never entered", 90, 0, 1e-12, 1)
+    def test_decides_as_the_squaring_loop(self, seed, d, n_matrices, prefix, extension, start, column, order,
+                                          scale, tail_tol, max_horizon):
+        rng = np.random.default_rng(seed)
+        if column == "never entered":   # d picks the block; its own d is one more than the block's
+            H = list(never_entered_blocks())[d % 3]
+            mats, x = [H] * n_matrices, np.eye(H.shape[0])[0]
+        else:
+            mats = [random_substochastic(rng, d, low=0.3, high=0.999) for _ in range(n_matrices)]
+            j = int(rng.integers(d))
+            if column != "none":
+                for m in mats:
+                    m[:, j] = np.eye(d)[j if column == "immortal" else (j + 1) % d]
+            x = random_distribution(rng, d)
+            # a stage that never dies is stepped to max_horizon once its mass
+            # is below tail_tol, at the default 10**5 steps; at 10**400 the
+            # squarings overflow first
+            assume(column == "none" or column == "sums to 1" and d > 1 or max_horizon != sw.DEFAULT_MAX_HORIZON)
+        schedule = sw.Schedule.explicit(mats, rng.integers(0, n_matrices, size=prefix), extension)
+        t0 = schedule.prefix_length if extension == "cycle" else max(prefix - 1 - start, 0)
+        assume(t0 < max_horizon)
+        args = (schedule, start, x * 10.0**-scale, order, tail_tol, max_horizon)
+        # squared some 400 times on the way to max_horizon 10**400, a
+        # never-entered block's column sums round above 1 and its powers
+        # overflow, in both checks alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _decided(sw.chain._closing_tail, *args) == _decided(squared_closing_tail, *args)
+
+    @pytest.mark.parametrize("engine", ["lifetime_distribution", "occupancy_distribution", "occupancy_moments"])
+    def test_a_contracting_period_is_decided_at_its_first_read(self, engine):
+        # the built-in fulmar's held matrix has every column sum below 0.95:
+        # one read of the stopping rule decides the tail; the squaring loop
+        # takes one for each power it reads
+        config = sw.builtin_fulmar()
+        schedule, reads = config.build_schedule(None), {}
+        closing = sw.chain._closing_tail
+
+        def counted(*args):
+            for check in (closing, squared_closing_tail):
+                with mock.patch.object(sw.chain, "_negligible", wraps=sw.chain._negligible) as rule:
+                    reads[check] = _decided(check, *args[:2], *args[3:])
+                reads[check, "reads"] = rule.call_count
+            return closing(*args)
+
+        kw = dict(start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon)
+        with mock.patch.object(sw.chain, "_closing_tail", counted):
+            if engine == "lifetime_distribution":
+                sw.lifetime_distribution(schedule, config.initial, **kw)
+            else:
+                getattr(sw, engine)(schedule, config.initial, config.target_set(), **kw)
+        assert reads[closing] == reads[squared_closing_tail]
+        assert reads[closing][2]   # closable
+        assert reads[closing, "reads"] == 1 < reads[squared_closing_tail, "reads"]
+
+    def test_a_bound_within_the_rounding_margin_falls_through_to_the_squarings(self):
+        # one stage keeping 1 - 1e-6 of its mass for 10**6 steps: the mass
+        # times the bound raised to them is just below tail_tol, but times
+        # the bound rounded up by the margin 4 (d + 1) eps first, it is not,
+        # so the first read does not decide, and the squarings give the
+        # squaring loop's answer
+        b, q, tol = 1.0 - 1e-6, 10**6, 1e-12
+        mass = tol / b**q * (1.0 - 5e-10)
+        assert mass * b**q < tol <= mass * (b + 8 * sys.float_info.epsilon) ** q
+        args = (sw.Schedule.constant([[b]]), 0, np.array([mass]), 0, tol, q)
+        with mock.patch.object(sw.chain, "_negligible", wraps=sw.chain._negligible) as rule:
+            decided = _decided(sw.chain._closing_tail, *args)
+        assert rule.call_count > 1
+        assert decided == _decided(squared_closing_tail, *args)
+        assert decided[2]   # closable

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
-from helpers import random_distribution, random_schedule, random_substochastic, random_target
+from helpers import never_entered_blocks, random_distribution, random_schedule, random_substochastic, random_target
 from oracles import (brute_force_alive, brute_force_joint, brute_force_moment, brute_force_occupancy,
                      forward_moment_table, walked_joint)
 
@@ -470,13 +470,7 @@ class TestClosedTail:
         # so is a never-entered block normalized by its column sums, one of
         # which rounds to 1 - 1 ulp: that is rounding, not a stage that can
         # die, and closing such a tail was a singular solve (LinAlgError)
-        for seed, k in [(84, 2), (16, 3), (2, 4)]:
-            block = np.random.default_rng(seed).random((k, k))
-            block /= block.sum(axis=0)
-            assert (block.sum(axis=0) == np.nextafter(1.0, 0.0)).any()
-            H = np.zeros((k + 1, k + 1))
-            H[0, 0], H[1:, 1:] = 0.5, block
-            schedules.append(sw.Schedule.constant(H))
+        schedules += [sw.Schedule.constant(H) for H in never_entered_blocks()]
         for sched in schedules:
             v, target = np.eye(sched.d)[0], sw.TargetSet(sched.d, frozenset({0}))
             reference = _written_out(sched, 200)
