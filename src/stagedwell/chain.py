@@ -112,6 +112,16 @@ def validate_matrix(raw) -> np.ndarray:
     return m
 
 
+class _Checked(tuple):
+    """Matrices that validate_matrix returned. A Schedule or
+    RandomEnvironmentSpec builds its matrices so, and takes such a tuple
+    handed to it as it is, without checking the matrices again."""
+
+    @classmethod
+    def of(cls, matrices) -> "_Checked":
+        return matrices if isinstance(matrices, cls) else cls(validate_matrix(m) for m in matrices)
+
+
 def validate_distribution(raw, d: int | None = None) -> np.ndarray:
     """Check that a vector is a probability distribution over d stages.
 
@@ -185,9 +195,10 @@ class Schedule:
     - "cycle": repeat the whole prefix periodically,
     - "error": raise ScheduleExhaustedError.
 
-    Matrices are validated, and their absorption vectors and transposes
-    (contiguous, for the engines' row-vector products) precomputed, on
-    construction; instances are immutable.
+    Matrices are validated (unless they come as another schedule's or a
+    spec's `matrices`, which were), and their absorption vectors and
+    transposes (contiguous, for the engines' row-vector products)
+    precomputed, on construction; instances are immutable.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -197,7 +208,7 @@ class Schedule:
     _transposes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(validate_matrix(m) for m in self.matrices)
+        mats = _Checked.of(self.matrices)
         if not mats:
             raise ValueError("a schedule needs at least one matrix")
         d = mats[0].shape[0]
@@ -225,12 +236,12 @@ class Schedule:
 
     @classmethod
     def explicit(cls, matrices, sequence, extension: str = "hold_last") -> "Schedule":
-        return cls(tuple(matrices), sequence, extension)
+        return cls(matrices, sequence, extension)
 
     @classmethod
     def periodic(cls, matrices, sequence) -> "Schedule":
         """Repeat `sequence` forever."""
-        return cls(tuple(matrices), sequence, "cycle")
+        return cls(matrices, sequence, "cycle")
 
     @property
     def d(self) -> int:
@@ -495,7 +506,9 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     tail_tol or more at max_horizon passes the rule at no earlier step,
     since the mass never rises. A smaller one may, if a moment order's
     weighted mass fell below tail_tol and rose again, so the steps are then
-    followed one at a time.
+    followed one at a time, up to the first step at which half the mass at
+    max_horizon (half, for the rounding of the squarings) fails the rule:
+    the mass never falls below that, so no later step passes it.
 
     closable says that I - Pi can be inverted, as the closed tails need: one
     of the powers read has every column sum below 1 less the rounding
@@ -510,7 +523,9 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     q, rest = divmod(max_horizon - t0, p)
     power, steps, y, closable = period[2], p, x, False
     while q:
-        bound, margin = float(power.sum(axis=0).max()), 4 * (x.size + 1) * steps * sys.float_info.epsilon
+        # the margin passes 1 well before 2**53 steps, so the cap changes no
+        # decision; it keeps a float of the steps from overflowing at 2**1024
+        bound, margin = float(power.sum(axis=0).max()), 4 * (x.size + 1) * min(steps, 2**53) * sys.float_info.epsilon
         closable, ahead = closable or bound < 1.0 - margin, min(bound, min(bound + margin, 1.0) ** min(q, sys.maxsize))
         if bound <= 1.0 and _negligible(float(y.sum()) * ahead, max_horizon, order, tail_tol):
             return t0, period, closable
@@ -526,6 +541,8 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
             x = H @ x
             if _negligible(float(x.sum()), t, order, tail_tol):
                 return t0, period, closable
+            if not _negligible(mass / 2, t, order, tail_tol):
+                break   # no later step passes the rule: the mass never falls below that at max_horizon
     raise NonAbsorbingError(mass, max_horizon)
 
 

@@ -13,7 +13,6 @@ file, the flags and the seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -89,7 +88,7 @@ def _load_config(args) -> tuple[ScenarioConfig, dict]:
         if getattr(args, name) is not None:
             updates[name] = getattr(args, name)
     if updates:
-        config = dataclasses.replace(config, **updates)
+        config = config._overridden(**updates)
     return config, dict(start=config.start, tail_tol=config.tail_tol, max_horizon=config.max_horizon)
 
 

@@ -47,12 +47,12 @@ from .chain import (
     DEFAULT_MAX_HORIZON,
     DEFAULT_TAIL_TOL,
     Schedule,
+    _Checked,
     _check_truncation,
     _decay_rate,
     _integer,
     _unchecked,
     absorption_vector,
-    validate_matrix,
 )
 from .errors import InvalidDistributionError, NonAbsorbingError, StagedwellError
 from .occupancy import TargetSet, _absorbing_step, _moment_start
@@ -82,7 +82,8 @@ class RandomEnvironmentSpec:
     """Finite set of environmental conditions with i.i.d. yearly draws.
 
     labels, matrices and probabilities run in parallel; probabilities must
-    sum to 1 within PROBABILITY_SUM_TOL.
+    sum to 1 within PROBABILITY_SUM_TOL. The matrices are validated as a
+    Schedule validates them.
     """
 
     labels: tuple[str, ...]
@@ -91,7 +92,7 @@ class RandomEnvironmentSpec:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        mats = tuple(validate_matrix(m) for m in self.matrices)
+        mats = _Checked.of(self.matrices)
         probs = np.array(self.probabilities, dtype=float)
         if not labels or len(labels) != len(mats) or probs.shape != (len(mats),):
             raise ValueError("labels, matrices and probabilities must have equal nonzero length")
@@ -302,7 +303,7 @@ def simplex_sweep(conditions, grid_step: float, initial, target: TargetSet, *, s
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError(f"grid_step must evenly divide 1, got {grid_step}")
     labels = tuple(lab for lab, _ in pairs)
-    matrices = tuple(m for _, m in pairs)
+    matrices = _Checked.of(m for _, m in pairs)   # once, not at every point
     base = _seed_entropy(seed)
     points: list[SweepPoint] = []
     for i in range(steps, -1, -1):

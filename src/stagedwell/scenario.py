@@ -26,11 +26,13 @@ matrices (rows = source stage) can say "orientation":
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from .chain import (
     Schedule,
     StateSpace,
     _check_truncation,
+    _Checked,
     _integer,
     validate_distribution,
     validate_matrix,
@@ -104,10 +107,12 @@ class RandomSchedule:
 class ScenarioConfig:
     """A scenario ready to hand to the engines. Every construction, by
     parse_scenario, builtin_fulmar or dataclasses.replace, checks that the
-    schedule names known matrices, `initial` is a distribution, the target
-    labels are stages, a random schedule's weights make a
-    RandomEnvironmentSpec, and start, tail_tol and max_horizon are in
-    range; matrices are checked where they are read."""
+    matrices are valid (parse_scenario, which has checked them already and
+    located any error, says so by _checked), the schedule names known
+    matrices, `initial` is a distribution, the target labels are stages, a
+    random schedule's weights make a RandomEnvironmentSpec, and start,
+    tail_tol and max_horizon are in range. The schedules and the spec built
+    from it take its matrices as they are."""
 
     states: StateSpace
     matrices: dict[str, np.ndarray]
@@ -117,10 +122,13 @@ class ScenarioConfig:
     start: int = 0
     tail_tol: float = DEFAULT_TAIL_TOL
     max_horizon: int = DEFAULT_MAX_HORIZON
+    _checked: InitVar[bool] = field(default=False, kw_only=True)
     _target: TargetSet = field(init=False, repr=False)
     _spec: RandomEnvironmentSpec | None = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
+        if not _checked:
+            object.__setattr__(self, "matrices", {name: validate_matrix(m) for name, m in self.matrices.items()})
         spec = self.schedule_spec
         weights = spec.probabilities if isinstance(spec, RandomSchedule) else None
         names = spec.sequence if weights is None else tuple(weights)
@@ -128,16 +136,30 @@ class ScenarioConfig:
             if name not in self.matrices:
                 raise UnknownMatrixError(name, self.matrices)
         object.__setattr__(self, "_spec", None if weights is None else RandomEnvironmentSpec(
-            names, tuple(self.matrices[n] for n in names), np.array(list(weights.values()))))
+            names, _Checked(self.matrices[n] for n in names), np.array(list(weights.values()))))
         try:
             object.__setattr__(self, "initial", validate_distribution(self.initial, self.states.d))
         except InvalidDistributionError as exc:
             raise InvalidDistributionError(f"initial: {exc}") from None
-        object.__setattr__(self, "_target", TargetSet.from_labels(self.states, self.target_labels))
+        self._check_run()
+
+    def _check_run(self, target: bool = True):
+        """Check and set what the command line overrides: the target labels
+        (if `target`), start, tail_tol and max_horizon."""
+        if target:
+            object.__setattr__(self, "_target", TargetSet.from_labels(self.states, self.target_labels))
         object.__setattr__(self, "start", _integer(self.start, "start", 0))
         tail_tol, max_horizon = _check_truncation(self.tail_tol, self.max_horizon)
         object.__setattr__(self, "tail_tol", tail_tol)
         object.__setattr__(self, "max_horizon", max_horizon)
+
+    def _overridden(self, **run) -> "ScenarioConfig":
+        """dataclasses.replace for what _check_run checks, checking that
+        alone again, and the target only if it is replaced."""
+        moved = copy.copy(self)
+        moved.__dict__.update(run)
+        moved._check_run(target="target_labels" in run)
+        return moved
 
     def __eq__(self, other):
         """Equal when dump_scenario writes both alike: the matrices, their
@@ -174,7 +196,7 @@ class ScenarioConfig:
         if isinstance(spec, ExplicitSchedule):
             used = [n for n in self.matrices if n in spec.sequence]
             seq = [used.index(n) for n in spec.sequence]
-            return Schedule.explicit([self.matrices[n] for n in used], seq, spec.extension)
+            return Schedule(_Checked(self.matrices[n] for n in used), seq, spec.extension)
         if rng is None:
             raise ScenarioError("a random scenario needs a random generator to realize a schedule")
         length = spec.length if spec.length is not None else self.max_horizon
@@ -305,6 +327,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         start=start,
         tail_tol=tail_tol,
         max_horizon=max_horizon,
+        _checked=True,
     )
 
 
@@ -375,7 +398,7 @@ def builtin_fulmar() -> ScenarioConfig:
             "failed breeder",
             "non-breeder",
         )),
-        matrices={name: validate_matrix(m) for name, m in matrices.items()},
+        matrices=matrices,
         schedule_spec=ExplicitSchedule(("U_f",)),
         initial=(1.0, 0.0, 0.0, 0.0),
         target_labels=("successful breeder", "failed breeder"),
@@ -395,27 +418,18 @@ def format_number(x) -> str:
     return s if "." in s or "e" in s or "n" in s else s + ".0"
 
 
-def _json_ready(x):
-    """A JSON-ready copy of x: floats at full precision (None if not finite), keys as strings."""
-    if isinstance(x, dict):
-        return {str(k): _json_ready(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_json_ready(v) for v in x]
-    if isinstance(x, float):
-        return x if math.isfinite(x) else None
-    return x
-
-
 def _export_parts(result) -> tuple[str, list, dict]:
-    """(CSV header, CSV rows, JSON document) of any exportable result, with
-    raw values; both formats are rendered from these."""
+    """(CSV header, CSV row blocks, JSON document) of any exportable result,
+    with raw values; both formats are rendered from these. Each block is
+    rendered on its own (_csv_lines), so rows of one shape, such as a
+    distribution's atoms, make one block."""
     if isinstance(result, DiscreteDistribution):
         lifetime = isinstance(result, LifetimeDistribution)
         probs = sorted(result.probs.items())
         header = ("n" if lifetime else "a") + ",probability"
         doc = {"kind": "lifetime" if lifetime else "occupancy", "probs": dict(probs),
                "tail_mass": result.tail_mass}
-        return header, probs + [("tail_mass", result.tail_mass)], doc
+        return header, [probs, [("tail_mass", result.tail_mass)]], doc
     if isinstance(result, EmpiricalSummary):
         counts = sorted(result.occupancy_counts.items())
         summary = {"mean": result.mean, "variance": result.variance, "std_error": result.std_error}
@@ -425,7 +439,7 @@ def _export_parts(result) -> tuple[str, list, dict]:
             "lifetime_counts": dict(sorted(result.lifetime_counts.items())),
             **summary,
         }
-        return "tau,count", counts + [("n_samples", result.n_samples), *summary.items()], doc
+        return "tau,count", [counts, [("n_samples", result.n_samples), *summary.items()]], doc
     # a two-level result's columns and the TwoLevelStats fields they hold;
     # a sweep row has the first four
     two_level = {"mean": "mean_of_means", "cv": "coefficient_of_variation",
@@ -433,7 +447,7 @@ def _export_parts(result) -> tuple[str, list, dict]:
                  "total_var": "total_variance", "n_sequences": "n_sequences"}
     if isinstance(result, TwoLevelStats):
         record = {col: getattr(result, name) for col, name in two_level.items()}
-        return ",".join(record), [tuple(record.values())], record
+        return ",".join(record), [[tuple(record.values())]], record
     if isinstance(result, list) and result and isinstance(result[0], SweepPoint):
         stats = list(two_level)[:4]
         columns = [f"p_{lab}" for lab in result[0].labels] + stats
@@ -446,11 +460,49 @@ def _export_parts(result) -> tuple[str, list, dict]:
                 entry.update((col, getattr(pt.stats, two_level[col])) for col in stats)
             grid.append(entry)
         rows = [tuple(entry.get(col, math.nan) for col in columns) for entry in grid]
-        return ",".join(columns), rows, {"grid": grid}
+        return ",".join(columns), [rows], {"grid": grid}
     if isinstance(result, list) and all(isinstance(x, (int, float)) for x in result):
         moments = [(k, float(x)) for k, x in enumerate(result, start=1)]
-        return "k,moment", moments, {"moments": dict(moments)}
+        return "k,moment", [moments], {"moments": dict(moments)}
     raise ScenarioError(f"cannot export a result of type {type(result).__name__}")
+
+
+def _csv_lines(rows: list) -> str:
+    """Rows as CSV lines, each cell as format_number writes it and strings
+    as they are. Where there are 8 rows or more (for fewer the template
+    costs more than it saves), all of one length, each column's cells share
+    one int or float type and the floats are in the last of two or more
+    columns, every row is written by one %-template, and the float cells
+    written without a point, exponent, nan or inf get their ".0" from one
+    substitution over the text; other rows are written a cell at a time."""
+    if len(rows) >= 8 and len(set(map(len, rows))) == 1:
+        formats = {int: "%d", np.int64: "%d", float: "%.12g", np.float64: "%.12g"}
+        types = [set(map(type, column)) for column in zip(*rows)]
+        cells = [formats.get(kind.pop()) if len(kind) == 1 else None for kind in types]
+        if len(cells) > 1 and None not in cells and "%.12g" not in cells[:-1]:
+            text = "".join(map((",".join(cells) + "\n").__mod__, rows))
+            return re.sub(r",(-?\d+)\n", r",\1.0\n", text) if cells[-1] == "%.12g" else text
+    return "".join(",".join(x if isinstance(x, str) else format_number(x) for x in row) + "\n" for row in rows)
+
+
+def _json_text(x, indent: str = "\n") -> str:
+    """x as json.dumps(x, indent=2) writes it, but with a float that is not
+    finite as null and every key as str(key), as JSON export wants it;
+    `indent` is the line break and indentation of x's own line. A dict of
+    finite floats under int keys is written one %-template per entry."""
+    if isinstance(x, (dict, list, tuple)):
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = indent + "  "
+        if not isinstance(x, dict):
+            return "[" + ",".join(inner + _json_text(v, inner) for v in x) + indent + "]"
+        values = list(x.values())
+        if set(map(type, x)) == {int} and set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+            return "{" + ",".join(map((inner + '"%d": %r').__mod__, x.items())) + indent + "}"
+        return "{" + ",".join(f"{inner}{json.dumps(str(k))}: {_json_text(v, inner)}" for k, v in x.items()) + indent + "}"
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    return json.dumps(x)   # a string, int, bool or None; json's TypeError for a type it cannot write
 
 
 def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> None:
@@ -459,21 +511,19 @@ def export_results(result, fmt: str = "csv", destination=None, metadata=()) -> N
     fmt "csv": a header line plus one row per record, numbers at 12
     significant digits; distribution exports end with a tail_mass row and
     metadata key/value pairs are appended as trailing rows. fmt "json": one
-    object with the same content, floats at full (repr) precision, so that
-    the exported atoms of a distribution sum as the engine's do.
+    object with the same content, indented by 2, floats at full (repr)
+    precision, so that the exported atoms of a distribution sum as the
+    engine's do, and null for a float that is not finite.
     """
     metadata = [tuple(item) for item in metadata]
     if fmt == "csv":
-        header, rows, _ = _export_parts(result)
-        text = header + "\n" + "".join(
-            ",".join(x if isinstance(x, str) else format_number(x) for x in row) + "\n"
-            for row in rows + metadata
-        )
+        header, blocks, _ = _export_parts(result)
+        text = header + "\n" + "".join(map(_csv_lines, blocks + [metadata]))
     elif fmt == "json":
         _, _, doc = _export_parts(result)
         if metadata:
             doc["metadata"] = dict(metadata)
-        text = json.dumps(_json_ready(doc), indent=2, allow_nan=False) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         raise ScenarioError(f"unknown export format {fmt!r} (expected 'csv' or 'json')")
     _write_text(text, destination)

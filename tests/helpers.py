@@ -3,6 +3,8 @@ explicit numpy Generator so hypothesis can shrink over seeds."""
 
 import functools
 import itertools
+import json
+import math
 import sys
 
 import numpy as np
@@ -59,7 +61,10 @@ def squared_closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     the period product until the first power's column-sum bound alone, times
     the mass, passes the stopping rule at max_horizon. It decides what the
     check decides, (t0, period, closable) or the same NonAbsorbingError, but
-    a contracting period here takes one read per squaring."""
+    a contracting period here takes one read per squaring. Its margin stops
+    growing at 2**53 steps, where it is above 1 already, and its
+    step-by-step search stops where half the mass at max_horizon fails the
+    rule, as the check's do."""
     p = schedule.prefix_length if schedule.extension == "cycle" else 1
     ks = list(itertools.islice(schedule.indices(start + t0), p))
     matrices = [schedule.matrices[k] for k in ks]
@@ -68,7 +73,7 @@ def squared_closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     power, steps, y, closable = period[2], p, x, False
     while q:
         bound = float(power.sum(axis=0).max())
-        closable = closable or bound < 1.0 - 4 * (x.size + 1) * steps * sys.float_info.epsilon
+        closable = closable or bound < 1.0 - 4 * (x.size + 1) * min(steps, 2**53) * sys.float_info.epsilon
         if bound <= 1.0 and chain._negligible(float(y.sum()) * bound, max_horizon, order, tail_tol):
             return t0, period, closable
         if q & 1:
@@ -83,4 +88,31 @@ def squared_closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
             x = H @ x
             if chain._negligible(float(x.sum()), t, order, tail_tol):
                 return t0, period, closable
+            if not chain._negligible(mass / 2, t, order, tail_tol):
+                break
     raise sw.NonAbsorbingError(mass, max_horizon)
+
+
+def reference_export(result, fmt, metadata=()):
+    """The text export_results writes, rendered a cell at a time: CSV cells
+    by format_number, JSON by json.dumps at indent 2 from a copy with its
+    non-finite floats as None and its keys as str(key)."""
+    metadata = [tuple(item) for item in metadata]
+    header, blocks, doc = sw.scenario._export_parts(result)
+    if fmt == "csv":
+        rows = [row for block in blocks for row in block] + metadata
+        return header + "\n" + "".join(
+            ",".join(x if isinstance(x, str) else sw.scenario.format_number(x) for x in row) + "\n" for row in rows)
+    if metadata:
+        doc["metadata"] = dict(metadata)
+    return json.dumps(_json_ready(doc), indent=2, allow_nan=False) + "\n"
+
+
+def _json_ready(x):
+    if isinstance(x, dict):
+        return {str(k): _json_ready(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_ready(v) for v in x]
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    return x

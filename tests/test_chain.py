@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -610,8 +611,6 @@ def _decided(check, schedule, start, x, order, tail_tol, max_horizon):
         t0, (ks, _, product), closable = check(schedule, start, t0, x, order, tail_tol, max_horizon)
     except sw.NonAbsorbingError as exc:
         return "raised", exc.horizon, exc.surviving_mass
-    except OverflowError as exc:   # past 2**1000 squarings, a tail that no read shows closable
-        return "overflow", str(exc)
     return t0, ks, closable, product.tobytes()
 
 
@@ -648,10 +647,6 @@ class TestClosingCheck:
                 for m in mats:
                     m[:, j] = np.eye(d)[j if column == "immortal" else (j + 1) % d]
             x = random_distribution(rng, d)
-            # a stage that never dies is stepped to max_horizon once its mass
-            # is below tail_tol, at the default 10**5 steps; at 10**400 the
-            # squarings overflow first
-            assume(column == "none" or column == "sums to 1" and d > 1 or max_horizon != sw.DEFAULT_MAX_HORIZON)
         schedule = sw.Schedule.explicit(mats, rng.integers(0, n_matrices, size=prefix), extension)
         t0 = schedule.prefix_length if extension == "cycle" else max(prefix - 1 - start, 0)
         assume(t0 < max_horizon)
@@ -703,3 +698,27 @@ class TestClosingCheck:
         assert rule.call_count > 1
         assert decided == _decided(squared_closing_tail, *args)
         assert decided[2]   # closable
+
+    # a stage that never dies, holding 0.6 of the mass for good, or 2e-14,
+    # below tail_tol: the order-2 rule then fails from step 7 on
+    IMMORTAL = [[0.5, 0.0], [0.3, 1.0]]
+    FAINT = [[0.5, 0.0], [1e-14, 1.0]]
+
+    @pytest.mark.parametrize("matrix, order, horizon", [
+        (IMMORTAL, 0, 10**400), (IMMORTAL, 2, 10**400), (FAINT, 2, 10**400), (FAINT, 2, 10**7),
+    ], ids=["lifetime", "moments", "faint-moments", "faint-moments-1e7"])
+    def test_a_tail_no_read_shows_closable_raises_at_any_horizon(self, matrix, order, horizon):
+        # after 1023 squarings the steps they cover, 2**1024, overflow a
+        # float; once the squarings are done, the steps are followed one at
+        # a time only while half the mass at max_horizon can pass the rule,
+        # not towards max_horizon
+        schedule, target = sw.Schedule.constant(matrix), sw.TargetSet(2, frozenset({0}))
+        began = time.perf_counter()
+        with pytest.raises(sw.NonAbsorbingError) as raised:
+            if order == 0:
+                sw.lifetime_distribution(schedule, [1.0, 0.0], max_horizon=horizon)
+            else:
+                sw.occupancy_moments(schedule, [1.0, 0.0], target, order=order, max_horizon=horizon)
+        assert time.perf_counter() - began < 1.0
+        assert raised.value.horizon == horizon
+        assert raised.value.surviving_mass == pytest.approx(0.6 if matrix is self.IMMORTAL else 2e-14, rel=1e-9)

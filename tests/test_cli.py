@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,33 @@ class TestSimulate:
         assert err.startswith("error: NonAbsorbingError")
 
 
+class TestChecksOnce:
+    """One CLI call checks each matrix of its scenario once and builds one
+    ScenarioConfig, overrides and all: the schedules and the random spec
+    built from the config take its checked matrices as they are."""
+
+    EXPLICIT = str(SCENARIOS / "fulmar_explicit_sequence.json")
+    RANDOM = str(SCENARIOS / "fulmar_random_environment.json")
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--start", "3", "--scenario", EXPLICIT],
+        ["lifetime", "--seed", "1", "--scenario", RANDOM],
+        ["occupancy", "--target", "non-breeder", "--scenario", EXPLICIT],
+        ["lifetime", "--start", "2", "--scenario", "builtin:fulmar"],
+    ], ids=["moments-start", "random-lifetime", "occupancy-target", "builtin-start"])
+    def test_each_matrix_once_and_one_config(self, capsys, monkeypatch, argv):
+        checked, built = [], []
+        validate, post_init = sw.chain.validate_matrix, sw.ScenarioConfig.__post_init__
+        for module in (sw.chain, sw.scenario, sw.randomenv):
+            if hasattr(module, "validate_matrix"):
+                monkeypatch.setattr(module, "validate_matrix", lambda raw: checked.append(raw) or validate(raw))
+        monkeypatch.setattr(sw.ScenarioConfig, "__post_init__",
+                            lambda self, *args: built.append(self) or post_init(self, *args))
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        assert (len(checked), len(built)) == (3, 1)
+
+
 class TestOverrides:
     """--start, --tail-tol and --max-horizon reach every engine a subcommand runs."""
 
@@ -550,6 +578,26 @@ def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and errors[0].startswith("error: FileNotFoundError: ")
     assert not out_path.parent.exists()
+
+
+def test_a_horizon_past_float_range_is_one_error_line(capsys, tmp_path):
+    # a stage that never dies, at a --max-horizon whose step count a
+    # float cannot hold
+    path = tmp_path / "immortal.json"
+    path.write_text(json.dumps({
+        "states": ["mortal", "immortal"],
+        "matrices": {"M": [[0.5, 0.0], [0.3, 1.0]]},
+        "schedule": {"kind": "constant", "matrix": "M"},
+        "initial": [1.0, 0.0],
+        "target_set": ["mortal"],
+    }))
+    for argv in (["lifetime"], ["moments", "--order", "2"]):
+        began = time.perf_counter()
+        code, out, err = run(capsys, [*argv, "--scenario", str(path), "--max-horizon", str(10**400)])
+        assert time.perf_counter() - began < 1.0
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: NonAbsorbingError: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["lifetime", "occupancy", "moments", "simulate"])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
@@ -15,6 +16,7 @@ from stagedwell.scenario import (
     RandomSchedule,
     format_number,
 )
+from helpers import reference_export
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -341,8 +343,8 @@ def two_condition_config():
 
 
 class TestConfigChecksItself:
-    """A ScenarioConfig holds and checks its fields however it is built;
-    dataclasses.replace is how the command line applies its overrides."""
+    """A ScenarioConfig holds and checks its fields however it is built,
+    dataclasses.replace included."""
 
     @pytest.mark.parametrize("change", [
         dict(initial=[1.0, 0.0]),
@@ -370,7 +372,12 @@ class TestConfigChecksItself:
         (dict(schedule_spec=RandomSchedule({"A": 0.5, "B": 0.6})), sw.InvalidDistributionError,
          "condition probabilities sum to 1.1, not 1"),
         (dict(initial=[0.9, 0.3]), sw.InvalidDistributionError, "initial: entries sum to 1.2, not 1"),
-    ], ids=["target label", "tail_tol", "probability name", "weights", "initial"])
+        # matrices handed to the config, a matrix no schedule names too
+        (dict(matrices={"A": [[0.2, 0.0], [0.9, 0.6]], "B": [[0.4, 0.0], [0.3, 0.5]]}), sw.ColumnSumError,
+         "column 0 sums to 1.1"),
+        (dict(matrices={"A": [[0.2, 0.0], [0.5, 0.6]], "B": [[0.4, 0.0], [0.3, 0.5]], "C": [[-0.1]]}),
+         sw.NegativeEntryError, "entry (0, 0) is negative: -0.1"),
+    ], ids=["target label", "tail_tol", "probability name", "weights", "initial", "matrix", "unused matrix"])
     def test_replace_checks_the_fields(self, change, error, message):
         with pytest.raises(error) as info:
             dataclasses.replace(two_condition_config(), **change)
@@ -516,6 +523,98 @@ class TestFormatNumber:
     def test_infinities(self):
         assert format_number(float("inf")) == "inf"
         assert format_number(float("-inf")) == "-inf"
+
+
+# floats a 12-digit cell writes without a point (1.0, 0.99999999999995,
+# -0.0, 123456789012.0), subnormals, the edges of the range, and the rest
+FLOATS = st.sampled_from([1.0, 0.99999999999995, -0.0, 0.0, 5e-324, 1e-310, sys.float_info.min, 1e300, -1e300,
+                          123456789012.0, 1e12, -7.0, 0.5, 1 / 3, 2.5e-13]) | st.floats()
+NUMBERS = FLOATS | FLOATS.map(np.float64) | st.integers(-10**15, 10**15) | st.integers(-5, 5).map(np.int64) \
+    | st.booleans()
+TEXT = st.text(max_size=6)   # commas, line breaks, non-ASCII
+
+
+def _columns(size=30):
+    """A column of plain floats, of numpy floats, or of any numbers."""
+    return st.lists(FLOATS, max_size=size) | st.lists(FLOATS.map(np.float64), max_size=size) \
+        | st.lists(NUMBERS, max_size=size)
+
+
+@st.composite
+def _distributions(draw):
+    values = draw(_columns())
+    keys = draw(st.lists(st.integers(0, 10**6), min_size=len(values), max_size=len(values), unique=True))
+    if draw(st.booleans()):
+        keys = list(map(np.int64, keys))
+    cls = draw(st.sampled_from([sw.LifetimeDistribution, sw.OccupancyDistribution, sw.DiscreteDistribution]))
+    return cls(dict(zip(keys, values)), tail_mass=draw(NUMBERS))
+
+
+def _counts():
+    return st.dictionaries(st.integers(0, 400), st.integers(1, 10**6) | st.integers(1, 9).map(np.int64), max_size=20)
+
+
+def _two_level():
+    return st.builds(sw.TwoLevelStats, st.integers(2, 10**6), NUMBERS, NUMBERS, NUMBERS, NUMBERS, NUMBERS)
+
+
+@st.composite
+def _sweeps(draw):
+    labels = draw(st.tuples(TEXT, TEXT, TEXT))
+    point = st.builds(lambda p, stats, error: sw.SweepPoint(p, stats, None if stats else error, labels=labels),
+                      st.tuples(NUMBERS, NUMBERS, NUMBERS), st.none() | _two_level(), TEXT)
+    return draw(st.lists(point, min_size=1, max_size=12))
+
+
+EXPORTABLE = st.one_of(
+    _distributions(),
+    _columns().filter(lambda xs: all(isinstance(x, (int, float)) for x in xs)),   # a moments list
+    st.builds(sw.EmpiricalSummary, st.integers(1, 10**6), _counts(), _counts()),
+    _two_level(),
+    _sweeps(),
+)
+METADATA = st.lists(st.tuples(TEXT, NUMBERS | TEXT | st.none() | st.lists(FLOATS, max_size=2)), max_size=12)
+
+
+def _written(write, result, fmt, metadata):
+    """The text a writer gives, or the error it raises."""
+    try:
+        return write(result, fmt, metadata)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _exported(result, fmt, metadata):
+    text = io.StringIO()
+    sw.export_results(result, fmt, text, metadata=metadata)
+    return text.getvalue()
+
+
+class TestRenderingReference:
+    """export_results writes the text of rendering one cell at a time
+    (helpers.reference_export), for every exportable result, with and
+    without metadata."""
+
+    ATOMS = {n: x for n, x in enumerate([0.25, 1.0, 0.99999999999995, -0.0, 5e-324, 1e300, 123456789012.0, 0.5], 1)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(EXPORTABLE, METADATA, st.sampled_from(["csv", "json"]))
+    # 8 atoms or more: a template per row, with ".0" added to 4 of them
+    @example(sw.LifetimeDistribution(ATOMS, tail_mass=1e-13), [("mean", 1.5), ("cv", math.nan)], "csv")
+    @example(sw.LifetimeDistribution(ATOMS, tail_mass=math.inf), [("mean", 1.5), ("cv", math.nan)], "json")
+    # a column of ints and floats, numpy and bool cells; a label whose line
+    # break follows what reads as an integral last cell
+    @example(sw.OccupancyDistribution({**ATOMS, 9: 1, 10: np.float64(0.5)}, tail_mass=0.0),
+             [("b", True), ("é", np.int64(3))], "csv")
+    @example([0.5], [(f"k{i}", float(i)) for i in range(7)] + [("n,3\nx", 0.5)], "csv")
+    @example(sw.EmpiricalSummary(40, {a: 4 for a in range(10)}, {1: 40}), [], "csv")
+    @example(sw.EmpiricalSummary(40, {a: np.int64(4) for a in range(10)}, {1: 40}), [], "json")
+    @example([1.0, 2, np.float64(3.5)], [("mean", 1.0), ("none", None), ("empty", []), ("pair", [0.5, 1.0])], "json")
+    @example([sw.SweepPoint((1.0, 0.0, 0.0), sw.TwoLevelStats(2, 1.0, 0.5, 0.0, 0.5, 0.7), labels=("é", "b", "c")),
+              sw.SweepPoint((0.0, 1.0, 0.0), None, error="NonAbsorbingError: stuck", labels=("é", "b", "c"))],
+             [], "json")
+    def test_matches_the_reference(self, result, metadata, fmt):
+        assert _written(_exported, result, fmt, metadata) == _written(reference_export, result, fmt, metadata)
 
 
 class TestExportResults:
