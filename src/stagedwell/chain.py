@@ -529,6 +529,8 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
         closable, ahead = closable or bound < 1.0 - margin, min(bound, min(bound + margin, 1.0) ** min(q, sys.maxsize))
         if bound <= 1.0 and _negligible(float(y.sum()) * ahead, max_horizon, order, tail_tol):
             return t0, period, closable
+        if bound > 1.0 + margin:   # rounding past the margin: later powers bound nothing, and would overflow
+            return t0, period, closable
         if q & 1:
             y = power @ y
         power, q, steps = power @ power, q >> 1, 2 * steps

@@ -2,8 +2,11 @@
 
 This module is an independent cross-check on the analytic recurrences: it
 never touches the occupancy tables, only simulates individuals one step at a
-time with inversion sampling. Lives are simulated a block at a time: every
-live trajectory of a block advances together, one schedule step at a time.
+time with inversion sampling. Lives are simulated a block at a time, one
+schedule step at a time, in two phases: while many of a block's lives
+last, each step moves them all as arrays; the last few step as Python
+scalars. Both phases read the same draws and pick the same stages, so
+where they meet changes no outcome.
 
 Seeding contract: trajectory g of a run is row g % BLOCK of block g // BLOCK.
 Block b draws from np.random.default_rng((seed, b)): one random(BLOCK) for
@@ -16,6 +19,7 @@ single-run result.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -31,6 +35,12 @@ from .occupancy import TargetSet, _occupancy_start
 # Trajectories per generator stream; part of the seeding contract. It divides
 # the decimal sample counts in use (2000, 10**5, 10**6) into whole blocks.
 BLOCK = 1000
+
+# Live rows at which a block turns from array steps to scalar ones. An array
+# step costs about a dozen numpy calls whatever its rows; a scalar step one
+# draw and a few hundred ns a row. On the fulmar schedules 8 to 16 ran alike;
+# 24 and 32 gained less, and 48 nothing.
+_SCALAR_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -71,36 +81,67 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
 
     Draws one rng.random(width) for the initial stages and one per step
     while any of `rows` lives; row r uses entry r of each draw. Returns
-    (lifetime, occupancy), integer arrays aligned with `rows`. Dead rows
-    sit in stage d until at least half the working rows are dead, then
-    are compacted away. If `path` is a list, it receives the working
-    rows' stages at each step, which for a width-1 block is the path.
+    (lifetime, occupancy), integer arrays aligned with `rows`.
+
+    A block runs in two phases on the same draws. While more than
+    _SCALAR_ROWS rows live, every step moves them all as arrays, a dozen
+    numpy calls whatever their number; dead rows sit in stage d until at
+    least half the working rows are dead, then are compacted away. The few
+    rows left then step as Python scalars: a row in stage j moves to
+    bisect_right(thresholds[k, j], u), the first stage i with
+    u < thresholds[k, j, i], which the array step's argmin also picks, as
+    the thresholds are nondecreasing in i; so the outcomes do not depend
+    on where the phases meet. If `path` is a list, it receives the live
+    rows' stages at each scalar step, which for a width-1 block, scalar
+    from its first step, is the life's path.
     """
     d = vcum.size
-    state = np.minimum(np.searchsorted(vcum, rng.random(width)[rows], side="right"), d - 1)
+    u = rng.random(width)
+    state = np.minimum(np.searchsorted(vcum, u if rows.size == width else u[rows], side="right"), d - 1)
     packed = np.empty(rows.size, dtype=np.int64)
     pos = np.arange(rows.size)
     acc = np.zeros(rows.size, dtype=np.int64)
     indices = schedule.indices(start)
     step = 0
-    while True:
+    while rows.size > _SCALAR_ROWS:
         if step >= step_cap:
             raise NonTerminatingError(step_cap)
-        if path is not None:
-            path.append(state)
-        u = rng.random(width)[rows]
+        u = rng.random(width)
+        if rows.size < width:
+            u = u[rows]
         acc += inc[state]
         edges = thresholds[next(indices)].take(state, axis=0)
         state = (u[:, None] >= edges).argmin(axis=1)  # first i with u < edge
         step += 1
         live = state < d
         n = np.count_nonzero(live)
-        if 2 * n <= state.size:
+        if 2 * n <= state.size or n <= _SCALAR_ROWS:
             dead = ~live
             packed[pos[dead]] = acc[dead]
-            if n == 0:
-                return packed >> 32, packed & 0xFFFFFFFF
             pos, rows, acc, state = pos[live], rows[live], acc[live], state[live]
+    listed, inc = {}, inc.tolist()   # listed[k]: thresholds[k] as lists, made at its first scalar step
+    pos, acc, state = pos.tolist(), acc.tolist(), state.tolist()
+    while state:
+        if step >= step_cap:
+            raise NonTerminatingError(step_cap)
+        if path is not None:
+            path.append(state)
+        u = rng.random(width)[rows].tolist()
+        k = next(indices)
+        table = listed.get(k)
+        if table is None:
+            table = listed[k] = thresholds[k].tolist()
+        acc = [a + inc[j] for a, j in zip(acc, state)]
+        state = [bisect_right(table[j], x) for j, x in zip(state, u)]
+        step += 1
+        if d in state:
+            for p, a, j in zip(pos, acc, state):
+                if j == d:
+                    packed[p] = a
+            keep = [i for i, j in enumerate(state) if j < d]
+            rows = rows[keep]
+            pos, acc, state = [pos[i] for i in keep], [acc[i] for i in keep], [state[i] for i in keep]
+    return packed >> 32, packed & 0xFFFFFFFF
 
 
 def simulate_trajectory(
@@ -114,10 +155,11 @@ def simulate_trajectory(
 ) -> TrajectoryOutcome:
     """Simulate one individual from time `start` until absorption.
 
-    Runs the block kernel on a block of width 1, so it consumes exactly one
-    uniform for the initial stage and one per step lived. Occupancy counts
-    the steps whose pre-transition stage lies in the target set, matching
-    the analytic convention.
+    Runs the block kernel on a block of width 1, which steps as scalars
+    from the first step, so it consumes exactly one uniform for the initial
+    stage and one per step lived. Occupancy counts the steps whose
+    pre-transition stage lies in the target set, matching the analytic
+    convention.
     """
     start, step_cap = _integer(start, "start"), _integer(step_cap, "step_cap", 0)
     thresholds, inc, vcum = _prepare(schedule, initial, target)
@@ -128,7 +170,7 @@ def simulate_trajectory(
     return TrajectoryOutcome(
         lifetime=int(lifetime[0]),
         occupancy=int(occupancy[0]),
-        path=tuple(int(s[0]) for s in path) if record_path else None,
+        path=tuple(s[0] for s in path) if record_path else None,
     )
 
 
@@ -180,8 +222,9 @@ class EmpiricalSummary:
 
 
 def _tally(counts: Counter, values: np.ndarray) -> None:
-    keys, n = np.unique(values, return_counts=True)
-    counts.update(dict(zip(keys.tolist(), n.tolist())))
+    n = np.bincount(values)
+    keys = np.flatnonzero(n)
+    counts.update(dict(zip(keys.tolist(), n[keys].tolist())))
 
 
 def empirical_distribution(
@@ -209,8 +252,8 @@ def empirical_distribution(
     analytic engines' default max_horizon, past which a life has
     probability below tail_tol wherever those engines converge with their
     defaults. A block that never dies pays for stepping its rows that far:
-    about 4 s for a full block and 1.5 s for one row at the default cap on
-    a 2-core x86_64 host.
+    about 3 s for a full block and 0.8 s for one row, which steps as
+    scalars, at the default cap on a 2-core x86_64 host.
     """
     n_samples, lo = _integer(n_samples, "n_samples", 1), _integer(first_index, "first_index", 0)
     start, seed, step_cap = _integer(start, "start"), _integer(seed, "seed"), _integer(step_cap, "step_cap", 0)

@@ -6,10 +6,12 @@ lifetime and occupancy joint and walked in pure Python otherwise; the phase-type
 oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers; the
 mean oracles close an infinite horizon with a fundamental matrix (I - G)^-1;
 the moment-table oracle carries the whole occupancy table p(a, j) forward
-and weights it by a^k, instead of stacking the moments.
+and weights it by a^k, instead of stacking the moments; the block oracle
+walks each simulated life one Python float at a time.
 """
 
 from collections import defaultdict
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,3 +196,40 @@ def periodic_mean(period, v, w):
     x = np.zeros(p * d)
     x[:d] = v
     return float(np.tile(w, p) @ np.linalg.solve(np.eye(p * d) - G, x))
+
+
+def simulated_block(schedule, v, target_indices, seed, block, start, steps, width=1000):
+    """Lifetimes and occupancies of every row of block `block` of a seeded
+    simulation from time `start`, as two lists indexed by row.
+
+    The block's uniforms are drawn at once, default_rng((seed, block))
+    .random((steps + 1, width)): row 0 is the draw that picks the initial
+    stages, row t + 1 the draw of step t. Each life is then walked in
+    plain Python: from stage j, a uniform u moves it to the first stage i
+    with u below the cumulative sum of column j of the matrix at time
+    start + t up to row i, and to absorption if there is none; the initial
+    stage is the first whose cumulative v exceeds u, the last if none does.
+    Raises AssertionError if a life outlasts the `steps` drawn.
+    """
+    d = len(v)
+    members = set(target_indices)
+    draws = np.random.default_rng((seed, block)).random((steps + 1, width)).tolist()
+    cumulative_v = list(accumulate(float(x) for x in v))
+    columns = {}   # time -> cumulative sums of each column of its matrix
+    lifetimes, occupancies = [], []
+    for r in range(width):
+        u = draws[0][r]
+        j = next((i for i, c in enumerate(cumulative_v) if u < c), d - 1)
+        t = occupancy = 0
+        while j < d:
+            assert t < steps, f"row {r} outlives the {steps} steps drawn"
+            if start + t not in columns:
+                m = schedule.matrix_at(start + t).tolist()
+                columns[start + t] = [list(accumulate(m[i][k] for i in range(d))) for k in range(d)]
+            occupancy += j in members
+            u = draws[t + 1][r]
+            j = next((i for i, c in enumerate(columns[start + t][j]) if u < c), d)
+            t += 1
+        lifetimes.append(t)
+        occupancies.append(occupancy)
+    return lifetimes, occupancies

@@ -653,9 +653,23 @@ class TestClosingCheck:
         args = (schedule, start, x * 10.0**-scale, order, tail_tol, max_horizon)
         # squared some 400 times on the way to max_horizon 10**400, a
         # never-entered block's column sums round above 1 and its powers
-        # overflow, in both checks alike
+        # overflow in the squaring loop; the check stops squaring before,
+        # so it runs with warnings as errors
+        decided = _decided(sw.chain._closing_tail, *args)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _decided(sw.chain._closing_tail, *args) == _decided(squared_closing_tail, *args)
+            assert decided == _decided(squared_closing_tail, *args)
+
+    @pytest.mark.parametrize("H", list(never_entered_blocks()), ids=["k2", "k3", "k4"])
+    def test_a_never_entered_block_stops_the_squarings_before_they_overflow(self, H):
+        # the block's powers round above 1 and overflowed float64 on the way
+        # to 10**400 (k4); past the rounding margin the check stops squaring,
+        # and the recurrence ends the life where it ends at the default horizon
+        schedule, x = sw.Schedule.constant(H), np.eye(H.shape[0])[0]
+        target = sw.TargetSet(H.shape[0], frozenset({0}))
+        assert (sw.lifetime_distribution(schedule, x, max_horizon=10**400)
+                == sw.lifetime_distribution(schedule, x))
+        assert (sw.occupancy_moments(schedule, x, target, order=2, max_horizon=10**400)
+                == sw.occupancy_moments(schedule, x, target, order=2) == [1.999999999999988, 5.999999999999352])
 
     @pytest.mark.parametrize("engine", ["lifetime_distribution", "occupancy_distribution", "occupancy_moments"])
     def test_a_contracting_period_is_decided_at_its_first_read(self, engine):

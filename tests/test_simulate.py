@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 import time
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 
 import stagedwell as sw
 from helpers import listed_steps, random_distribution, random_schedule, random_target
+from oracles import simulated_block
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GEOM_B = ((0.0, 0.0), (0.5, 0.5))
 
@@ -237,6 +241,44 @@ class TestEmpiricalDistribution:
         sched, target = geom_setup()
         summary = sw.empirical_distribution(sched, [1.0, 0.0], target, n_samples=1, seed=0)
         assert summary.variance == 0.0
+
+
+class TestBlockKernel:
+    """Every row of a block, stepped as arrays and then as scalars, is the
+    life the whole-block reference walks one float at a time."""
+
+    @pytest.mark.parametrize("source", ["builtin:fulmar", "fulmar_explicit_sequence.json"])
+    @pytest.mark.parametrize("first, n", [(0, 1000), (137, 863), (3000, 9)], ids=["whole", "tail", "few"])
+    def test_every_row_is_the_walked_life(self, source, first, n):
+        config = (sw.builtin_fulmar_scenario() if source == "builtin:fulmar"
+                  else sw.load_scenario(SCENARIOS / source))
+        schedule, v, target = config.build_schedule(), config.initial, config.target_set()
+        start, seed, block = 3, 5, first // sw.simulate.BLOCK
+        lifetimes, occupancies = simulated_block(schedule, v, target.members, seed, block, start, steps=600)
+        rows = np.arange(first % sw.simulate.BLOCK, first % sw.simulate.BLOCK + n)
+        lifetimes, occupancies = [lifetimes[r] for r in rows], [occupancies[r] for r in rows]
+        lives = sorted(lifetimes)
+        if n > sw.simulate._SCALAR_ROWS:   # the block steps as arrays, then as scalars while lives still end
+            assert len(set(lives[-sw.simulate._SCALAR_ROWS:])) > 2
+        thresholds, inc, vcum = sw.simulate._prepare(schedule, v, target)
+        got = sw.simulate._simulate_rows(schedule, thresholds, inc, vcum, start, np.random.default_rng((seed, block)),
+                                         sw.simulate.BLOCK, rows, sw.DEFAULT_MAX_HORIZON)
+        assert got[0].tolist() == lifetimes
+        assert got[1].tolist() == occupancies
+        summary = sw.empirical_distribution(schedule, v, target, n, seed=seed, start=start, first_index=first)
+        assert summary.lifetime_counts == dict(sorted(Counter(lifetimes).items()))
+        assert summary.occupancy_counts == dict(sorted(Counter(occupancies).items()))
+
+    @pytest.mark.parametrize("immortal", [1.0, 0.01], ids=["array-steps", "scalar-steps"])
+    def test_lives_outlasting_the_cap_raise_in_either_phase(self, immortal):
+        # stage 1 never dies, stage 0 halves at each step: with 1% of the
+        # block in stage 1, about ten rows outlive the rest and reach the
+        # cap as scalars; with all of it, a thousand rows reach it as arrays
+        sched = sw.Schedule.constant([[0.5, 0.0], [0.0, 1.0]])
+        with pytest.raises(sw.NonTerminatingError) as info:
+            sw.empirical_distribution(sched, [1.0 - immortal, immortal], sw.TargetSet.none(2),
+                                      n_samples=1000, seed=2, step_cap=60)
+        assert info.value.step_cap == 60
 
 
 class TestTotalVariation:
