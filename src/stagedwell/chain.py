@@ -502,7 +502,11 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     its applications still ahead, rounded up first by the margin below for
     the rounding of the squarings it stands for, and the smaller bound is
     taken; so a period that contracts is decided at its first read, and the
-    squarings run only where a column of Pi sums to about 1. A mass of
+    squarings run only where a column of Pi sums to about 1. Where a
+    power's bound passes 2**256, its powers grow, by a column sum above 1
+    that validate_matrix lets pass or by the rounding of a block that never
+    dies, and the next squarings could overflow: the squarings stop there,
+    and the mass one power on stands for the mass at max_horizon. A mass of
     tail_tol or more at max_horizon passes the rule at no earlier step,
     since the mass never rises. A smaller one may, if a moment order's
     weighted mass fell below tail_tol and rose again, so the steps are then
@@ -529,8 +533,9 @@ def _closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
         closable, ahead = closable or bound < 1.0 - margin, min(bound, min(bound + margin, 1.0) ** min(q, sys.maxsize))
         if bound <= 1.0 and _negligible(float(y.sum()) * ahead, max_horizon, order, tail_tol):
             return t0, period, closable
-        if bound > 1.0 + margin:   # rounding past the margin: later powers bound nothing, and would overflow
-            return t0, period, closable
+        if bound > 2.0**256:   # the powers grow, and the squarings would overflow: read the mass a power on
+            y = power @ y
+            break
         if q & 1:
             y = power @ y
         power, q, steps = power @ power, q >> 1, 2 * steps

@@ -119,7 +119,7 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
             dead = ~live
             packed[pos[dead]] = acc[dead]
             pos, rows, acc, state = pos[live], rows[live], acc[live], state[live]
-    listed, inc = {}, inc.tolist()   # listed[k]: thresholds[k] as lists, made at its first scalar step
+    tables, inc = thresholds.tolist(), inc.tolist()
     pos, acc, state = pos.tolist(), acc.tolist(), state.tolist()
     while state:
         if step >= step_cap:
@@ -127,10 +127,7 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
         if path is not None:
             path.append(state)
         u = rng.random(width)[rows].tolist()
-        k = next(indices)
-        table = listed.get(k)
-        if table is None:
-            table = listed[k] = thresholds[k].tolist()
+        table = tables[next(indices)]
         acc = [a + inc[j] for a, j in zip(acc, state)]
         state = [bisect_right(table[j], x) for j, x in zip(state, u)]
         step += 1
@@ -222,9 +219,16 @@ class EmpiricalSummary:
 
 
 def _tally(counts: Counter, values: np.ndarray) -> None:
-    n = np.bincount(values)
-    keys = np.flatnonzero(n)
-    counts.update(dict(zip(keys.tolist(), n[keys].tolist())))
+    # bincount counts a full block's values in a fraction of np.unique's
+    # sort, but allocates a counter for every value up to the largest: it
+    # runs only where that is a few counters per value
+    if values.max() < 4 * values.size:
+        n = np.bincount(values)
+        keys = np.flatnonzero(n)
+        n = n[keys]
+    else:
+        keys, n = np.unique(values, return_counts=True)
+    counts.update(dict(zip(keys.tolist(), n.tolist())))
 
 
 def empirical_distribution(

@@ -62,9 +62,11 @@ def squared_closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
     the mass, passes the stopping rule at max_horizon. It decides what the
     check decides, (t0, period, closable) or the same NonAbsorbingError, but
     a contracting period here takes one read per squaring. Its margin stops
-    growing at 2**53 steps, where it is above 1 already, and its
-    step-by-step search stops where half the mass at max_horizon fails the
-    rule, as the check's do."""
+    growing at 2**53 steps, where it is above 1 already; once a power's
+    bound passes 2**256, the powers growing by rounding or by column sums
+    above 1, it reads the mass one power on instead of squaring on towards
+    overflow; and its step-by-step search stops where half the mass at
+    max_horizon fails the rule, as the check's do."""
     p = schedule.prefix_length if schedule.extension == "cycle" else 1
     ks = list(itertools.islice(schedule.indices(start + t0), p))
     matrices = [schedule.matrices[k] for k in ks]
@@ -76,6 +78,9 @@ def squared_closing_tail(schedule, start, t0, x, order, tail_tol, max_horizon):
         closable = closable or bound < 1.0 - 4 * (x.size + 1) * min(steps, 2**53) * sys.float_info.epsilon
         if bound <= 1.0 and chain._negligible(float(y.sum()) * bound, max_horizon, order, tail_tol):
             return t0, period, closable
+        if bound > 2.0**256:
+            y = power @ y
+            break
         if q & 1:
             y = power @ y
         power, q, steps = power @ power, q >> 1, 2 * steps

@@ -623,7 +623,8 @@ class TestClosingCheck:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5),
            st.sampled_from(["hold_last", "cycle"]), st.integers(0, 8),
-           st.sampled_from(["none", "sums to 1", "immortal", "never entered"]), st.integers(0, 90),
+           st.sampled_from(["none", "sums to 1", "immortal", "never entered", "sums above 1", "immortal above 1"]),
+           st.integers(0, 90),
            st.integers(0, 14), st.sampled_from([1e-12, 1e-6, 0.5]),
            st.sampled_from([1, 2, 7, 60, 2000, sw.DEFAULT_MAX_HORIZON, 10**400]))
     @example(0, 2, 1, 1, "hold_last", 0, "none", 0, 0, 1e-12, 1)
@@ -634,6 +635,9 @@ class TestClosingCheck:
     @example(0, 2, 1, 1, "hold_last", 0, "never entered", 0, 0, 1e-12, 10**400)
     @example(1, 1, 1, 1, "cycle", 0, "never entered", 0, 3, 1e-6, 60)
     @example(2, 1, 1, 1, "hold_last", 2, "never entered", 90, 0, 1e-12, 1)
+    @example(0, 1, 1, 1, "hold_last", 0, "immortal above 1", 0, 0, 1e-12, sw.DEFAULT_MAX_HORIZON)
+    @example(0, 1, 1, 1, "hold_last", 0, "immortal above 1", 0, 14, 1e-12, 10**400)
+    @example(3, 2, 1, 1, "hold_last", 0, "sums above 1", 0, 0, 1e-12, 10**400)
     def test_decides_as_the_squaring_loop(self, seed, d, n_matrices, prefix, extension, start, column, order,
                                           scale, tail_tol, max_horizon):
         rng = np.random.default_rng(seed)
@@ -644,32 +648,49 @@ class TestClosingCheck:
             mats = [random_substochastic(rng, d, low=0.3, high=0.999) for _ in range(n_matrices)]
             j = int(rng.integers(d))
             if column != "none":
+                # a column above 1 by up to the validated 1e-9, and past the
+                # rounding margin of every power read
+                above = 1.0 + 10.0 ** -rng.uniform(9, 13) if column.endswith("above 1") else 1.0
                 for m in mats:
-                    m[:, j] = np.eye(d)[j if column == "immortal" else (j + 1) % d]
+                    m[:, j] = np.eye(d)[j if column.startswith("immortal") else (j + 1) % d] * above
             x = random_distribution(rng, d)
         schedule = sw.Schedule.explicit(mats, rng.integers(0, n_matrices, size=prefix), extension)
         t0 = schedule.prefix_length if extension == "cycle" else max(prefix - 1 - start, 0)
         assume(t0 < max_horizon)
         args = (schedule, start, x * 10.0**-scale, order, tail_tol, max_horizon)
         # squared some 400 times on the way to max_horizon 10**400, a
-        # never-entered block's column sums round above 1 and its powers
-        # overflow in the squaring loop; the check stops squaring before,
-        # so it runs with warnings as errors
-        decided = _decided(sw.chain._closing_tail, *args)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert decided == _decided(squared_closing_tail, *args)
+        # never-entered block's powers, or those of a column above 1, grow
+        # towards overflow; both stop squaring before, so they run with
+        # warnings as errors
+        assert _decided(sw.chain._closing_tail, *args) == _decided(squared_closing_tail, *args)
 
     @pytest.mark.parametrize("H", list(never_entered_blocks()), ids=["k2", "k3", "k4"])
     def test_a_never_entered_block_stops_the_squarings_before_they_overflow(self, H):
         # the block's powers round above 1 and overflowed float64 on the way
-        # to 10**400 (k4); past the rounding margin the check stops squaring,
-        # and the recurrence ends the life where it ends at the default horizon
+        # to 10**400 (k4); the check stops squaring where they pass 2**256,
+        # finds the life's mass a power on negligible, and the recurrence
+        # ends the life where it ends at the default horizon
         schedule, x = sw.Schedule.constant(H), np.eye(H.shape[0])[0]
         target = sw.TargetSet(H.shape[0], frozenset({0}))
         assert (sw.lifetime_distribution(schedule, x, max_horizon=10**400)
                 == sw.lifetime_distribution(schedule, x))
         assert (sw.occupancy_moments(schedule, x, target, order=2, max_horizon=10**400)
                 == sw.occupancy_moments(schedule, x, target, order=2) == [1.999999999999988, 5.999999999999352])
+
+    @pytest.mark.parametrize("H", [[[1.0 + 1e-10]], [[0.5, 0.0], [0.5, 1.0 + 1e-13]]], ids=["alone", "entered"])
+    @pytest.mark.parametrize("max_horizon", [sw.DEFAULT_MAX_HORIZON, 10**400])
+    def test_a_stage_that_never_dies_above_1_raises_at_t0(self, H, max_horizon):
+        # a validated column sum past 1 + the rounding margin: the squarings
+        # show the mass never falls, so the check raises at t0, without
+        # stepping to max_horizon, and stops before its powers overflow
+        schedule, x = sw.Schedule.constant(H), np.eye(len(H))[0]
+        with pytest.raises(sw.NonAbsorbingError) as caught:
+            sw.chain._closing_tail(schedule, 0, 0, x, 0, sw.DEFAULT_TAIL_TOL, max_horizon)
+        assert caught.value.horizon == max_horizon and 1.0 <= caught.value.surviving_mass < math.inf
+        began = time.perf_counter()
+        with pytest.raises(sw.NonAbsorbingError):
+            sw.lifetime_distribution(schedule, x, max_horizon=max_horizon)
+        assert time.perf_counter() - began < 1.0
 
     @pytest.mark.parametrize("engine", ["lifetime_distribution", "occupancy_distribution", "occupancy_moments"])
     def test_a_contracting_period_is_decided_at_its_first_read(self, engine):
