@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -303,22 +304,6 @@ class Schedule:
         return self._absorptions[self.index_at(n)]
 
 
-def transition_operator(schedule: Schedule, n: int, m: int = 0) -> np.ndarray:
-    """Product B(n-1) ... B(m) mapping stage probabilities at m to those at n.
-
-    With n == m this is the identity. Multiplying two operators with matching
-    inner times composes them: transition_operator(s, n, m) @
-    transition_operator(s, m, k) equals transition_operator(s, n, k).
-    """
-    n, m = _integer(n, "n"), _integer(m, "m")
-    if m < 0 or n < m:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    phi = np.eye(schedule.d)
-    for k in itertools.islice(schedule.indices(m), n - m):
-        phi = schedule.matrices[k] @ phi
-    return phi
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Probability table over nonnegative integers, with truncated tail mass.
@@ -355,8 +340,21 @@ class DiscreteDistribution:
         return out
 
     def moment(self, k: int) -> float:
+        """sum n**k p(n) over the atoms. Where some n**k passes float64
+        before p scales it down, or the float sum overflows, the sum is
+        taken in fractions and rounded once; a moment past float64 raises
+        ValueError naming the order."""
         k = _integer(k, "k", 0)
-        return float(sum((n**k) * p for n, p in self.probs.items()))
+        try:
+            total = float(sum((n**k) * p for n, p in self.probs.items()))
+        except OverflowError:
+            total = math.inf
+        if total < math.inf:
+            return total
+        exact = sum(n**k * Fraction(p) for n, p in self.probs.items())
+        if exact > sys.float_info.max:
+            raise ValueError(f"moment of order {k} overflows float64")
+        return float(exact)
 
     def mean(self) -> float:
         return self.moment(1)

@@ -223,10 +223,16 @@ class JointOccupancyTable:
         return self.values[self._elapsed(n)].sum(axis=1)
 
     def moment_vector(self, k: int, n: int) -> np.ndarray:
-        """Per-stage k-th occupancy moments sum_a a^k p(a, n)."""
+        """Per-stage k-th occupancy moments sum_a a^k p(a, n): one product,
+        or, where some a^k or a moment passes float64, each stage's moment
+        by DiscreteDistribution.moment."""
         rows = self.values[self._elapsed(n)]
-        weights = np.arange(rows.shape[0], dtype=float) ** _integer(k, "k", 0)
-        return weights @ rows
+        k = _integer(k, "k", 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = np.arange(rows.shape[0], dtype=float) ** k @ rows
+        if np.isfinite(moments).all():
+            return moments
+        return np.array([DiscreteDistribution(dict(enumerate(column)), 0.0).moment(k) for column in rows.T.tolist()])
 
 
 def evolve_joint(

@@ -43,16 +43,6 @@ BLOCK = 1000
 _SCALAR_ROWS = 16
 
 
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    """One simulated individual: steps lived, steps spent in the target set,
-    and optionally the visited stage sequence (one entry per step lived)."""
-
-    lifetime: int
-    occupancy: int
-    path: tuple[int, ...] | None = None
-
-
 def _prepare(schedule: Schedule, initial, target: TargetSet):
     """Validated inputs of the block kernel: (thresholds, inc, vcum).
 
@@ -76,10 +66,10 @@ def _prepare(schedule: Schedule, initial, target: TargetSet):
     return thresholds, inc, np.cumsum(v)
 
 
-def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, step_cap, path=None):
-    """Simulate the lives `rows` (ascending, each < width) of one block.
+def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, rows, step_cap):
+    """Simulate the lives `rows` (ascending, each < BLOCK) of one block.
 
-    Draws one rng.random(width) for the initial stages and one per step
+    Draws one rng.random(BLOCK) for the initial stages and one per step
     while any of `rows` lives; row r uses entry r of each draw. Returns
     (lifetime, occupancy), integer arrays aligned with `rows`.
 
@@ -91,13 +81,11 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
     bisect_right(thresholds[k, j], u), the first stage i with
     u < thresholds[k, j, i], which the array step's argmin also picks, as
     the thresholds are nondecreasing in i; so the outcomes do not depend
-    on where the phases meet. If `path` is a list, it receives the live
-    rows' stages at each scalar step, which for a width-1 block, scalar
-    from its first step, is the life's path.
+    on where the phases meet.
     """
     d = vcum.size
-    u = rng.random(width)
-    state = np.minimum(np.searchsorted(vcum, u if rows.size == width else u[rows], side="right"), d - 1)
+    u = rng.random(BLOCK)
+    state = np.minimum(np.searchsorted(vcum, u if rows.size == BLOCK else u[rows], side="right"), d - 1)
     packed = np.empty(rows.size, dtype=np.int64)
     pos = np.arange(rows.size)
     acc = np.zeros(rows.size, dtype=np.int64)
@@ -106,8 +94,8 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
     while rows.size > _SCALAR_ROWS:
         if step >= step_cap:
             raise NonTerminatingError(step_cap)
-        u = rng.random(width)
-        if rows.size < width:
+        u = rng.random(BLOCK)
+        if rows.size < BLOCK:
             u = u[rows]
         acc += inc[state]
         edges = thresholds[next(indices)].take(state, axis=0)
@@ -124,9 +112,7 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
     while state:
         if step >= step_cap:
             raise NonTerminatingError(step_cap)
-        if path is not None:
-            path.append(state)
-        u = rng.random(width)[rows].tolist()
+        u = rng.random(BLOCK)[rows].tolist()
         table = tables[next(indices)]
         acc = [a + inc[j] for a, j in zip(acc, state)]
         state = [bisect_right(table[j], x) for j, x in zip(state, u)]
@@ -139,36 +125,6 @@ def _simulate_rows(schedule, thresholds, inc, vcum, start, rng, width, rows, ste
             rows = rows[keep]
             pos, acc, state = [pos[i] for i in keep], [acc[i] for i in keep], [state[i] for i in keep]
     return packed >> 32, packed & 0xFFFFFFFF
-
-
-def simulate_trajectory(
-    schedule: Schedule,
-    initial,
-    target: TargetSet,
-    rng: np.random.Generator,
-    start: int = 0,
-    record_path: bool = False,
-    step_cap: int = DEFAULT_MAX_HORIZON,
-) -> TrajectoryOutcome:
-    """Simulate one individual from time `start` until absorption.
-
-    Runs the block kernel on a block of width 1, which steps as scalars
-    from the first step, so it consumes exactly one uniform for the initial
-    stage and one per step lived. Occupancy counts the steps whose
-    pre-transition stage lies in the target set, matching the analytic
-    convention.
-    """
-    start, step_cap = _integer(start, "start"), _integer(step_cap, "step_cap", 0)
-    thresholds, inc, vcum = _prepare(schedule, initial, target)
-    path = [] if record_path else None
-    lifetime, occupancy = _simulate_rows(
-        schedule, thresholds, inc, vcum, start, rng, 1, np.zeros(1, dtype=np.intp), step_cap, path,
-    )
-    return TrajectoryOutcome(
-        lifetime=int(lifetime[0]),
-        occupancy=int(occupancy[0]),
-        path=tuple(s[0] for s in path) if record_path else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -207,14 +163,10 @@ class EmpiricalSummary:
         return math.sqrt(self.variance / self.n_samples)
 
     def merge(self, other: "EmpiricalSummary") -> "EmpiricalSummary":
-        occ = Counter(self.occupancy_counts)
-        occ.update(other.occupancy_counts)
-        life = Counter(self.lifetime_counts)
-        life.update(other.lifetime_counts)
         return EmpiricalSummary(
             n_samples=self.n_samples + other.n_samples,
-            occupancy_counts=dict(occ),
-            lifetime_counts=dict(life),
+            occupancy_counts=dict(Counter(self.occupancy_counts) + Counter(other.occupancy_counts)),
+            lifetime_counts=dict(Counter(self.lifetime_counts) + Counter(other.lifetime_counts)),
         )
 
 
@@ -269,7 +221,7 @@ def empirical_distribution(
         base = block * BLOCK
         rows = np.arange(max(lo - base, 0), min(hi - base, BLOCK))
         lifetime, occupancy = _simulate_rows(
-            schedule, thresholds, inc, vcum, start, np.random.default_rng((seed, block)), BLOCK, rows, step_cap,
+            schedule, thresholds, inc, vcum, start, np.random.default_rng((seed, block)), rows, step_cap,
         )
         _tally(life, lifetime)
         _tally(occ, occupancy)

@@ -3,7 +3,8 @@
 These deliberately avoid the package's recurrences. The brute-force oracles
 sum over every individual path of the chain, listed as numpy arrays for the
 lifetime and occupancy joint and walked in pure Python otherwise; the phase-type
-oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers; the
+oracle evaluates the closed-form b' B^(n-1) v by explicit matrix powers,
+and the transition product multiplies the schedule's matrices out; the
 mean oracles close an infinite horizon with a fundamental matrix (I - G)^-1;
 the moment-table oracle carries the whole occupancy table p(a, j) forward
 and weights it by a^k, instead of stacking the moments; the block oracle
@@ -140,6 +141,15 @@ def periodic_phase_type_pmf(period, v, n_max):
             x = B @ x
         pmf.append(float((1.0 - period[s].sum(axis=0)) @ x))
     return np.array(pmf)
+
+
+def transition_product(schedule, n):
+    """B(n-1) ... B(0), the matrix mapping stage probabilities at time 0 to
+    those at time n, multiplied out from matrix_at; the identity at n = 0."""
+    phi = np.eye(schedule.d)
+    for t in range(n):
+        phi = schedule.matrix_at(t) @ phi
+    return phi
 
 
 def forward_moment_table(matrices, v, target_indices, order, steps):

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from stagedwell.chain import _first_negligible, _negligible
 from stagedwell.scenario import RandomSchedule
 from helpers import (listed_steps, never_entered_blocks, random_distribution, random_schedule,
                      random_substochastic, squared_closing_tail)
-from oracles import periodic_phase_type_pmf, phase_type_pmf
+from oracles import periodic_phase_type_pmf, phase_type_pmf, transition_product
 
 U_F = (
     (0.828, 0.0, 0.0, 0.0),
@@ -255,45 +256,6 @@ class TestSchedule:
             sw.Schedule.constant([[0.6, 0.0], [0.5, 0.2]])
 
 
-class TestTransitionOperator:
-    def test_identity_at_equal_times(self):
-        s = sw.Schedule.constant([[0.5]])
-        assert_allclose(sw.transition_operator(s, 3, 3), np.eye(1))
-
-    def test_single_step_is_the_matrix(self):
-        rng = np.random.default_rng(5)
-        s = random_schedule(rng, d=3, n_matrices=3, length=4)
-        assert_allclose(sw.transition_operator(s, 3, 2), s.matrix_at(2))
-
-    def test_scalar_powers(self):
-        s = sw.Schedule.constant([[0.5]])
-        assert sw.transition_operator(s, 3, 0)[0, 0] == pytest.approx(0.125, rel=1e-15)
-
-    def test_order_of_factors(self):
-        a = np.array([[0.0, 0.5], [0.5, 0.0]])
-        b = np.array([[0.5, 0.0], [0.0, 0.25]])
-        s = sw.Schedule.explicit([a, b], [0, 1], extension="error")
-        # time 0 applies a, time 1 applies b: phi = b @ a
-        assert_allclose(sw.transition_operator(s, 2, 0), b @ a)
-
-    def test_rejects_reversed_times(self):
-        s = sw.Schedule.constant([[0.5]])
-        with pytest.raises(ValueError):
-            sw.transition_operator(s, 1, 2)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    def test_composition(self, seed, d):
-        rng = np.random.default_rng(seed)
-        s = random_schedule(rng, d=d, n_matrices=3, length=12)
-        n, m, k = 9, 5, 2
-        assert_allclose(
-            sw.transition_operator(s, n, m) @ sw.transition_operator(s, m, k),
-            sw.transition_operator(s, n, k),
-            rtol=0, atol=1e-12,
-        )
-
-
 class TestLifetimeDistribution:
     def test_immediate_death(self):
         s = sw.Schedule.constant(np.zeros((2, 2)))
@@ -374,6 +336,31 @@ class TestLifetimeDistribution:
         assert_allclose(dist.to_array()[1:], direct, rtol=1e-11, atol=0)
         assert dist.tail_mass < sw.DEFAULT_TAIL_TOL <= dist.tail_mass + direct[-1]
 
+    def test_time_varying_atoms_are_differences_of_the_product(self):
+        # P(tau = n) = 1' B(n-2) ... B(0) v - 1' B(n-1) ... B(0) v on an
+        # explicit schedule that changes at every step, then holds its last
+        rng = np.random.default_rng(29)
+        sched = random_schedule(rng, d=3, n_matrices=5, length=15)
+        v = random_distribution(rng, 3)
+        dist = sw.lifetime_distribution(sched, v)
+        alive = [float(transition_product(sched, n).sum(axis=0) @ v) for n in range(41)]
+        for n in range(1, 41):
+            assert dist.pmf(n) == pytest.approx(alive[n - 1] - alive[n], rel=0, abs=1e-14)
+
+    def test_moment_whose_weights_pass_float64(self):
+        # fulmar lives under U_f reach 352 steps, and 352**122 passes float64
+        # before its probability scales it down; the moment stays finite to
+        # order 125, rounded once from the exact sum
+        data = sw.builtin_fulmar()
+        dist = sw.lifetime_distribution(sw.Schedule.constant(data.matrices["U_f"]), data.initial)
+        assert dist.max_support() == 352
+        assert dist.moment(121) == float(sum(n**121 * p for n, p in dist.probs.items()))
+        for k in (122, 125):
+            assert dist.moment(k) == float(sum(n**k * Fraction(p) for n, p in dist.probs.items()))
+        assert dist.moment(125) == pytest.approx(6.848e305, rel=1e-4)
+        with pytest.raises(ValueError, match="^moment of order 126 overflows float64$"):
+            dist.moment(126)
+
     def test_rejects_bad_truncation_controls(self):
         s = sw.Schedule.constant([[0.5]])
         with pytest.raises(ValueError):
@@ -425,8 +412,7 @@ class TestIndexStream:
         for engine in (lambda: sw.lifetime_distribution(s, [1.0], start=start),
                        lambda: sw.occupancy_distribution(s, [1.0], target, start=start),
                        lambda: sw.occupancy_moments(s, [1.0], target, start=start),
-                       lambda: sw.evolve_joint(s, [1.0], target, start=start),
-                       lambda: sw.transition_operator(s, start + 5, start)):
+                       lambda: sw.evolve_joint(s, [1.0], target, start=start)):
             with pytest.raises(sw.ScheduleExhaustedError) as drawn:
                 engine()
             assert str(drawn.value) == str(direct.value)
@@ -490,14 +476,13 @@ def _integer_rule_cases():
                      "step_cap must be nonnegative, got -5"),
         "sample-seed": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10, seed=1.5),
                         "seed 1.5 is not an integer"),
-        "trajectory-start": (lambda: sw.simulate_trajectory(sched, v, target, np.random.default_rng(0), start=1.5),
-                             "start 1.5 is not an integer"),
-        "trajectory-step_cap": (lambda: sw.simulate_trajectory(sched, v, target, np.random.default_rng(0), step_cap=9.5),
-                                "step_cap 9.5 is not an integer"),
+        "sample-start": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10, start=1.5),
+                         "start 1.5 is not an integer"),
+        "sample-step_cap": (lambda: sw.empirical_distribution(sched, v, target, n_samples=10, step_cap=9.5),
+                            "step_cap 9.5 is not an integer"),
         "total_variation": (lambda: sw.total_variation(dist, {1: 3}, 3.5), "n_samples 3.5 is not an integer"),
         "index_at": (lambda: sched.index_at("3"), "n '3' is not an integer"),
         "indices": (lambda: next(sched.indices(1.5)), "start 1.5 is not an integer"),
-        "transition_operator": (lambda: sw.transition_operator(sched, 2.5), "n 2.5 is not an integer"),
         "numbered": (lambda: sw.StateSpace.numbered(2.5), "d 2.5 is not an integer"),
         "target-d": (lambda: sw.TargetSet(2.5, frozenset({0})), "d 2.5 is not an integer"),
         "all_states": (lambda: sw.TargetSet.all_states(2.5), "d 2.5 is not an integer"),
@@ -579,8 +564,6 @@ class TestIntegerRule:
             sw.occupancy_moments(sched, [1.0], sw.TargetSet(1, frozenset()), order=0.0)
         with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
             sw.moment_tables(sched, [1.0], sw.TargetSet(1, frozenset()), order=-1)
-        with pytest.raises(ValueError, match=r"^need 0 <= m <= n, got m=3, n=2$"):
-            sw.transition_operator(sched, 2, 3.0)
 
 
 class TestStoppingRule:

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import stagedwell as sw
-from helpers import never_entered_blocks, random_distribution, random_schedule, random_substochastic, random_target
+from helpers import (listed_steps, never_entered_blocks, random_distribution, random_schedule, random_substochastic,
+                     random_target)
 from oracles import (brute_force_alive, brute_force_joint, brute_force_moment, brute_force_occupancy,
-                     forward_moment_table, walked_joint)
+                     forward_moment_table, transition_product, walked_joint)
 
 # Two-stage chain where stage 1 is the target: from stage 0 move to 1 or die
 # (half/half), from stage 1 stay or die. tau is 0 with prob 1/2 and
@@ -115,8 +117,40 @@ class TestEvolveJoint:
             v = random_distribution(rng, d)
             table = sw.evolve_joint(sched, v, random_target(rng, d))
             for n in (0, 7, 19):
-                expected = float(sw.transition_operator(sched, n).sum(axis=0) @ v)
+                expected = float(transition_product(sched, n).sum(axis=0) @ v)
                 assert table.mass(n) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_stage_masses_are_the_transition_product(self, seed, d):
+        # summed over occupancy, the table at time n is the stage vector
+        # B(n-1) ... B(0) v, past the schedule's prefix into its held matrix
+        rng = np.random.default_rng(seed)
+        sched = random_schedule(rng, d=d, n_matrices=3, length=12)
+        v = random_distribution(rng, d)
+        table = sw.evolve_joint(sched, v, random_target(rng, d))
+        for n in (0, 1, 5, 12, min(20, table.horizon)):
+            assert_allclose(table.values[n].sum(axis=0), transition_product(sched, n) @ v, rtol=0, atol=1e-12)
+
+    def test_matrices_act_in_time_order(self):
+        # time 0 applies a, time 1 applies b: the stages at time 2 are b a v
+        a = np.array([[0.0, 0.5], [0.5, 0.0]])
+        b = np.array([[0.5, 0.0], [0.0, 0.25]])
+        sched = sw.Schedule.explicit([a, b], [0, 1, 1, 0, 0, 0, 0, 0, 0], extension="hold_last")
+        v = [1.0, 0.0]
+        table = sw.evolve_joint(sched, v, sw.TargetSet(2, frozenset({0})))
+        assert_allclose(table.values[2].sum(axis=0), b @ a @ v, rtol=0, atol=1e-15)
+        assert not np.allclose(b @ a @ v, a @ b @ v)
+
+    @pytest.mark.parametrize("start", [1, 6, 13])
+    def test_late_start_reads_the_later_product(self, start):
+        rng = np.random.default_rng(40 + start)
+        sched = random_schedule(rng, d=3, n_matrices=4, length=10)
+        v = random_distribution(rng, 3)
+        table = sw.evolve_joint(sched, v, sw.TargetSet(3, frozenset({2})), start=start)
+        later = listed_steps(sched, start, 30)
+        for n in (0, 3, 9, 20):
+            assert_allclose(table.values[n].sum(axis=0), transition_product(later, n) @ v, rtol=0, atol=1e-12)
 
     def test_non_absorbing_raises(self):
         sched = sw.Schedule.constant(np.eye(2))
@@ -146,6 +180,21 @@ class TestEvolveJoint:
             table = sw.evolve_joint(sw.Schedule.constant(data.matrices["U_f"]), (1.0, 0.0, 0.0, 0.0), target)
         assert closing.call_count == 1
         assert table.mass(table.horizon) < sw.DEFAULT_TAIL_TOL <= table.mass(table.horizon - 1)
+
+    def test_moment_vector_whose_weights_pass_float64(self):
+        # 300**125 passes float64, the per-stage moments at time 300 do not:
+        # each is rounded once from the exact sum, and a finite order keeps
+        # its one product
+        data = sw.builtin_fulmar()
+        target = sw.TargetSet.from_labels(data.states, ("successful breeder", "failed breeder"))
+        table = sw.evolve_joint(sw.Schedule.constant(data.matrices["U_f"]), data.initial, target)
+        rows = table.values[300]
+        exact = [float(sum(a**125 * Fraction(p) for a, p in enumerate(column))) for column in rows.T.tolist()]
+        np.testing.assert_array_equal(table.moment_vector(125, 300), exact)
+        assert_allclose(exact, [0.0, 1.0915e297, 3.0355e296, 4.9344e295], rtol=1e-4)
+        np.testing.assert_array_equal(table.moment_vector(2, 300), np.arange(301.0) ** 2 @ rows)
+        with pytest.raises(ValueError, match="^moment of order 130 overflows float64$"):
+            table.moment_vector(130, 300)
 
     @pytest.mark.parametrize("members", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)],
                              ids=lambda m: "".join(map(str, m)) or "none")
@@ -885,8 +934,6 @@ class TestSkippedChecks:
 
 
 SAMPLING_ENGINES = {
-    "simulate_trajectory": lambda s, v, target: sw.simulate_trajectory(
-        s, v, target, np.random.default_rng(0)),
     "empirical_distribution": lambda s, v, target: sw.empirical_distribution(
         s, v, target, n_samples=10),
     "two_level_stats": lambda s, v, target: sw.two_level_stats(

@@ -18,86 +18,6 @@ def geom_setup():
     return sw.Schedule.constant(GEOM_B), sw.TargetSet(2, frozenset({1}))
 
 
-class TestSimulateTrajectory:
-    def test_certain_death_in_one_step(self):
-        sched = sw.Schedule.constant(np.zeros((2, 2)))
-        out = sw.simulate_trajectory(
-            sched, [0.0, 1.0], sw.TargetSet(2, frozenset({1})),
-            rng=np.random.default_rng(0),
-        )
-        assert out.lifetime == 1
-        assert out.occupancy == 1  # started in the target stage
-
-    def test_same_seed_same_trajectory(self):
-        sched, target = geom_setup()
-        a = sw.simulate_trajectory(sched, [1.0, 0.0], target,
-                                   rng=np.random.default_rng(42), record_path=True)
-        b = sw.simulate_trajectory(sched, [1.0, 0.0], target,
-                                   rng=np.random.default_rng(42), record_path=True)
-        assert a == b
-
-    def test_path_consistency(self):
-        sched, target = geom_setup()
-        for seed in range(50):
-            out = sw.simulate_trajectory(sched, [1.0, 0.0], target,
-                                         rng=np.random.default_rng(seed), record_path=True)
-            assert len(out.path) == out.lifetime
-            assert out.occupancy == sum(1 for s in out.path if s in target)
-            assert out.path[0] == 0
-
-    def test_occupancy_never_exceeds_lifetime(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            d = int(rng.integers(1, 5))
-            sched = random_schedule(rng, d=d, length=10)
-            v = random_distribution(rng, d)
-            target = random_target(rng, d)
-            for seed in range(20):
-                out = sw.simulate_trajectory(sched, v, target,
-                                             rng=np.random.default_rng(seed))
-                assert 0 <= out.occupancy <= out.lifetime
-
-    def test_never_dying_hits_step_cap(self):
-        sched = sw.Schedule.constant(np.eye(2))
-        with pytest.raises(sw.NonTerminatingError):
-            sw.simulate_trajectory(sched, [1.0, 0.0], sw.TargetSet.none(2),
-                                   rng=np.random.default_rng(1), step_cap=100)
-
-    def test_path_not_recorded_by_default(self):
-        sched, target = geom_setup()
-        out = sw.simulate_trajectory(sched, [1.0, 0.0], target,
-                                     rng=np.random.default_rng(3))
-        assert out.path is None
-
-    def test_pinned_outcomes_on_random_explicit_schedule(self):
-        # reference values from a scalar one-trajectory-at-a-time simulator;
-        # lives run past the 8-step prefix into the held last matrix
-        rng = np.random.default_rng(2024)
-        sched = random_schedule(rng, d=3, length=8, low=0.8, high=0.95)
-        v = random_distribution(rng, 3)
-        target = sw.TargetSet(3, frozenset({0, 2}))
-        expected = [
-            (5, 4, (2, 1, 0, 0, 2)),
-            (1, 1, (2,)),
-            (16, 9, (2, 1, 2, 0, 2, 2, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1)),
-            (15, 5, (2, 1, 2, 2, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1)),
-            (2, 1, (2, 1)),
-            (9, 7, (2, 2, 2, 0, 0, 1, 1, 0, 0)),
-            (4, 1, (2, 1, 1, 1)),
-            (16, 8, (2, 2, 2, 0, 1, 2, 0, 2, 2, 1, 1, 1, 1, 1, 1, 1)),
-            (1, 1, (2,)),
-            (5, 3, (2, 1, 1, 2, 2)),
-        ]
-        for seed, want in enumerate(expected):
-            gen = np.random.default_rng(seed)
-            out = sw.simulate_trajectory(sched, v, target, rng=gen, start=2, record_path=True)
-            assert (out.lifetime, out.occupancy, out.path) == want
-            # one uniform for the initial stage and one per step lived
-            ref = np.random.default_rng(seed)
-            ref.random(out.lifetime + 1)
-            assert gen.random() == ref.random()
-
-
 class TestIndexStream:
     """Lives read a schedule from any start exactly as index_at lists it."""
 
@@ -110,11 +30,6 @@ class TestIndexStream:
         v = random_distribution(rng, 3)
         target = sw.TargetSet(3, frozenset({1}))
         listed = listed_steps(sched, start, 400)
-        for seed in range(5):
-            assert (sw.simulate_trajectory(sched, v, target, np.random.default_rng(seed), start=start,
-                                           record_path=True)
-                    == sw.simulate_trajectory(listed, v, target, np.random.default_rng(seed),
-                                              record_path=True))
         assert (sw.empirical_distribution(sched, v, target, 1500, seed=4, start=start)
                 == sw.empirical_distribution(listed, v, target, 1500, seed=4))
 
@@ -129,10 +44,113 @@ class TestIndexStream:
         assert str(drawn.value) == str(direct.value)
 
     def test_step_cap_comes_before_any_index(self):
+        # one row steps as scalars from the first step, fifty as arrays
         sched = sw.Schedule.explicit([[[0.9]]], [0], extension="error")
-        with pytest.raises(sw.NonTerminatingError):
-            sw.simulate_trajectory(sched, [1.0], sw.TargetSet(1, frozenset()), np.random.default_rng(0),
-                                   start=-1, step_cap=0)
+        for n in (1, 50):
+            with pytest.raises(sw.NonTerminatingError):
+                sw.empirical_distribution(sched, [1.0], sw.TargetSet(1, frozenset()), n, start=-1, step_cap=0)
+
+
+def one_outcome(schedule, v, target, seed, index, **kwargs):
+    """(lifetime, occupancy) of trajectory `index` of a run seeded `seed`."""
+    summary = sw.empirical_distribution(schedule, v, target, 1, seed=seed, first_index=index, **kwargs)
+    (lifetime,), (occupancy,) = summary.lifetime_counts, summary.occupancy_counts
+    return lifetime, occupancy
+
+
+def kernel_rows(schedule, v, target, seed, block, rows, start=0, step_cap=sw.DEFAULT_MAX_HORIZON):
+    """The block kernel's (lifetimes, occupancies) of `rows`, as lists."""
+    thresholds, inc, vcum = sw.simulate._prepare(schedule, v, target)
+    got = sw.simulate._simulate_rows(schedule, thresholds, inc, vcum, start, np.random.default_rng((seed, block)),
+                                     np.asarray(rows), step_cap)
+    return got[0].tolist(), got[1].tolist()
+
+
+class TestOneTrajectory:
+    """A one-sample run is one trajectory's outcome: the life of row g % BLOCK
+    of block g // BLOCK, whichever rows are simulated beside it."""
+
+    @pytest.mark.parametrize("n", [1, sw.simulate.BLOCK])
+    def test_certain_death_in_one_step(self, n):
+        sched = sw.Schedule.constant(np.zeros((2, 2)))
+        summary = sw.empirical_distribution(sched, [0.0, 1.0], sw.TargetSet(2, frozenset({1})), n, seed=3)
+        assert summary.lifetime_counts == {1: n}
+        assert summary.occupancy_counts == {1: n}   # started in the target stage
+
+    def test_same_seed_and_index_same_outcome(self):
+        sched, target = geom_setup()
+        outcomes = [one_outcome(sched, [1.0, 0.0], target, seed, 7) for seed in range(50)]
+        assert outcomes == [one_outcome(sched, [1.0, 0.0], target, seed, 7) for seed in range(50)]
+        assert len(set(outcomes)) > 3
+
+    def test_occupancy_counts_every_step_after_the_first(self):
+        # from stage 0, outside the target, a life moves to the target stage
+        # 1 or dies, and stage 1 only stays or dies: every step but the
+        # first is spent in the target, in either phase of the kernel
+        sched, target = geom_setup()
+        for rows in (range(sw.simulate.BLOCK), [4], [0, 500, 999]):
+            lifetimes, occupancies = kernel_rows(sched, [1.0, 0.0], target, 6, 0, list(rows))
+            assert min(lifetimes) >= 1
+            assert occupancies == [n - 1 for n in lifetimes]
+            if len(rows) == sw.simulate.BLOCK:
+                assert max(lifetimes) > sw.simulate._SCALAR_ROWS // 2   # some lives reach the scalar phase
+
+    def test_occupancy_never_exceeds_lifetime(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            d = int(rng.integers(1, 5))
+            sched = random_schedule(rng, d=d, length=10)
+            v = random_distribution(rng, d)
+            target = random_target(rng, d)
+            lifetimes, occupancies = kernel_rows(sched, v, target, int(rng.integers(100)), 0,
+                                                 range(sw.simulate.BLOCK))
+            assert all(1 <= n for n in lifetimes)
+            assert all(0 <= a <= n for a, n in zip(occupancies, lifetimes))
+
+    @pytest.mark.parametrize("n", [1, sw.simulate.BLOCK])
+    def test_step_cap_counts_the_steps_lived(self, n):
+        # every life moves 0 -> 1 -> 2 and dies: three steps exactly
+        shift = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        sched, target = sw.Schedule.constant(shift), sw.TargetSet(3, frozenset({1}))
+        summary = sw.empirical_distribution(sched, [1.0, 0.0, 0.0], target, n, step_cap=3)
+        assert summary.lifetime_counts == {3: n}
+        assert summary.occupancy_counts == {1: n}
+        with pytest.raises(sw.NonTerminatingError) as info:
+            sw.empirical_distribution(sched, [1.0, 0.0, 0.0], target, n, step_cap=2)
+        assert info.value.step_cap == 2
+
+    def test_one_sample_is_its_walked_row(self):
+        rng = np.random.default_rng(12)
+        sched = random_schedule(rng, d=3, length=6, low=0.6, high=0.9)
+        v = random_distribution(rng, 3)
+        target = sw.TargetSet(3, frozenset({0, 2}))
+        walked = {block: simulated_block(sched, v, target.members, 9, block, 4, steps=400) for block in (0, 1, 2)}
+        for g in (0, 1, 999, 1000, 1001, 2345):
+            lifetimes, occupancies = walked[g // sw.simulate.BLOCK]
+            row = g % sw.simulate.BLOCK
+            assert one_outcome(sched, v, target, 9, g, start=4) == (lifetimes[row], occupancies[row])
+
+    def test_outcomes_do_not_depend_on_the_rows_beside_them(self):
+        config = sw.builtin_fulmar_scenario()
+        schedule, v, target = config.build_schedule(), config.initial, config.target_set()
+        whole = kernel_rows(schedule, v, target, 11, 4, range(sw.simulate.BLOCK))
+        rng = np.random.default_rng(13)
+        for size in (1, 5, 40, 700):
+            rows = np.sort(rng.choice(sw.simulate.BLOCK, size, replace=False))
+            assert kernel_rows(schedule, v, target, 11, 4, rows) == tuple([w[r] for r in rows] for w in whole)
+
+    def test_pinned_outcomes_on_random_explicit_schedule(self):
+        # (lifetime, occupancy) of trajectories 0 .. 9 of seed 0 from time 2:
+        # the seeding contract, frozen; lives run past the 8-step prefix
+        # into the held last matrix
+        rng = np.random.default_rng(2024)
+        sched = random_schedule(rng, d=3, length=8, low=0.8, high=0.95)
+        v = random_distribution(rng, 3)
+        target = sw.TargetSet(3, frozenset({0, 2}))
+        expected = [(2, 2), (7, 7), (2, 0), (17, 13), (6, 5), (6, 6), (13, 6), (12, 3), (8, 2), (10, 5)]
+        assert [one_outcome(sched, v, target, 0, g, start=2) for g in range(10)] == expected
+        lifetimes, occupancies = simulated_block(sched, v, target.members, 0, 0, 2, steps=400)
+        assert list(zip(lifetimes[:10], occupancies[:10])) == expected
 
 
 class TestEmpiricalDistribution:
@@ -262,7 +280,7 @@ class TestBlockKernel:
             assert len(set(lives[-sw.simulate._SCALAR_ROWS:])) > 2
         thresholds, inc, vcum = sw.simulate._prepare(schedule, v, target)
         got = sw.simulate._simulate_rows(schedule, thresholds, inc, vcum, start, np.random.default_rng((seed, block)),
-                                         sw.simulate.BLOCK, rows, sw.DEFAULT_MAX_HORIZON)
+                                         rows, sw.DEFAULT_MAX_HORIZON)
         assert got[0].tolist() == lifetimes
         assert got[1].tolist() == occupancies
         summary = sw.empirical_distribution(schedule, v, target, n, seed=seed, start=start, first_index=first)
